@@ -20,13 +20,11 @@ from .datasets import (
 )
 from .estimator import (
     BiasCorrected,
-    LookupTable,
     MseTable,
     adc_scan,
     build_lut_scalar,
     build_lut_sqdist,
     compute_mse_table,
-    corrected_sqdist,
 )
 from .experiment import (
     CellResult,
@@ -87,8 +85,8 @@ __all__ = [
     "lift_point", "transform_database",
     "PairQModel", "train_pairq", "pairq_encode", "pairq_query_vector",
     "pairq_estimate_scalar", "pairq_estimate_sqdist",
-    "LookupTable", "build_lut_scalar", "build_lut_sqdist", "adc_scan",
-    "MseTable", "compute_mse_table", "corrected_sqdist", "BiasCorrected",
+    "build_lut_scalar", "build_lut_sqdist", "adc_scan",
+    "MseTable", "compute_mse_table", "BiasCorrected",
     "read_fvecs", "write_fvecs", "read_ivecs", "write_ivecs",
     "SyntheticSpec", "SyntheticData", "gen_synthetic",
     "second_moment_condition",

@@ -32,12 +32,15 @@ from .datasets import (
 )
 from .estimator import BiasCorrected, compute_mse_table
 from .experiment import (
+    TASKS,
     ExperimentConfig,
+    normalize_rows,
     run_experiment,
+    task_kind,
     write_report_csv,
     write_report_json,
 )
-from .metrics import SCALAR, SQDIST, evaluate_method
+from .metrics import evaluate_method
 from .quantizer import opq_encode, train_opq
 from .serialize import load_model, save_model
 from .transform import (
@@ -48,21 +51,9 @@ from .transform import (
     train_pairq,
 )
 
-MODES = ("scalar", "cosine", "sqdist")
-
-
-def _kind(mode: str) -> str:
-    return SQDIST if mode == "sqdist" else SCALAR
-
-
-def _normalize(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0.0, norms, 1.0)
-
-
 def _load_vectors(path, mode: str) -> np.ndarray:
     data = read_fvecs(path).astype(np.float64)
-    return _normalize(data) if mode == "cosine" else data
+    return normalize_rows(data) if mode == "cosine" else data
 
 
 def _add_common_training_flags(p: argparse.ArgumentParser) -> None:
@@ -158,7 +149,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, mse = load_model(args.model)
-    kind = _kind(args.mode)
+    kind = task_kind(args.mode)
     if isinstance(model, PairQModel) and model.mode != kind:
         print(
             f"error: model produces {model.mode!r} estimates, --mode "
@@ -273,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="fit a quantizer on a database")
-    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--mode", choices=TASKS, required=True)
     p.add_argument("--method", choices=("opq", "pairq"), required=True)
     p.add_argument("--database", required=True, help="fvecs file")
     p.add_argument("--train-queries", help="fvecs file (required for pairq)")
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="compress a database with a model")
     p.add_argument("--model", required=True)
     p.add_argument("--database", required=True)
-    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--mode", choices=TASKS, required=True)
     p.add_argument("--out", required=True, help="output ivecs code file")
     p.set_defaults(func=_cmd_encode)
 
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--database", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--eval-queries", required=True)
-    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--mode", choices=TASKS, required=True)
     p.add_argument("--bias-correct", action="store_true")
     p.add_argument("--max-pairs", type=int, default=10**7)
     p.add_argument("--seed", type=int, default=0)
@@ -303,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="run a methods-by-blocks benchmark grid")
-    p.add_argument("--task", choices=MODES, default="scalar")
+    p.add_argument("--task", choices=TASKS, default="scalar")
     p.add_argument("--methods", default="opq,pairq",
                    help="comma list from: opq, opq-bc, pairq")
     p.add_argument("--blocks", default="8", help="comma list of block counts")

@@ -16,18 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, as_vector
-from .quantizer import OPQModel, _assign_batch, apply_rotation, pad_columns
-
-SCALAR = "scalar"
-SQDIST = "sqdist"
-
-
-@dataclass(eq=False)
-class LookupTable:
-    """Per-block partial values for one query, shape (num_blocks, K)."""
-
-    kind: str
-    values: np.ndarray
+from .quantizer import OPQModel, apply_rotation, pad_columns, pq_decode, pq_encode
 
 
 @dataclass(eq=False)
@@ -55,36 +44,30 @@ def _rotated_query(model: OPQModel, q) -> np.ndarray:
     return model.rotation @ v
 
 
-def build_lut_scalar(model: OPQModel, r) -> LookupTable:
-    """Table of partial scalar products <block_j(R r), c_jk>."""
-    r_rot = _rotated_query(model, r)
-    book = model.codebook
-    values = np.empty((book.num_blocks, book.codebook_size))
-    for j, off in enumerate(book.offsets):
-        values[j] = book.centroids[j] @ r_rot[off : off + book.sub_dims[j]]
-    return LookupTable(kind=SCALAR, values=values)
+def build_lut_scalar(model: OPQModel, r) -> np.ndarray:
+    """Table of partial scalar products <block_j(R r), c_jk>, shape (M, K)."""
+    book = model.codebook.centroids
+    r_blocks = _rotated_query(model, r).reshape(book.shape[0], book.shape[2], 1)
+    return (book @ r_blocks)[:, :, 0]
 
 
-def build_lut_sqdist(model: OPQModel, q) -> LookupTable:
-    """Table of partial squared distances ||block_j(R q) - c_jk||^2."""
-    q_rot = _rotated_query(model, q)
-    book = model.codebook
-    values = np.empty((book.num_blocks, book.codebook_size))
-    for j, off in enumerate(book.offsets):
-        diff = book.centroids[j] - q_rot[off : off + book.sub_dims[j]]
-        values[j] = np.einsum("ij,ij->i", diff, diff)
-    return LookupTable(kind=SQDIST, values=values)
+def build_lut_sqdist(model: OPQModel, q) -> np.ndarray:
+    """Table of partial squared distances ||block_j(R q) - c_jk||^2, shape
+    (M, K)."""
+    book = model.codebook.centroids
+    q_blocks = _rotated_query(model, q).reshape(book.shape[0], 1, book.shape[2])
+    diff = book - q_blocks
+    return np.einsum("mks,mks->mk", diff, diff)
 
 
 def adc_scan(lut, codes) -> np.ndarray:
     """Sum one table entry per block for every code.
 
-    ``lut`` may be a LookupTable or a raw (num_blocks, K) array. A single
-    (num_blocks,) code returns a float; a (N, num_blocks) batch returns a
-    float64 vector. Blocks accumulate in index order.
+    ``lut`` is a (num_blocks, K) table. A single (num_blocks,) code returns
+    a float; a (N, num_blocks) batch returns a float64 vector. Blocks
+    accumulate in index order.
     """
-    table = lut.values if isinstance(lut, LookupTable) else np.asarray(lut)
-    table = as_matrix(table, "lut")
+    table = as_matrix(lut, "lut")
     arr = np.asarray(codes)
     single = arr.ndim == 1
     if single:
@@ -115,29 +98,22 @@ def compute_mse_table(
     x = as_matrix(training_data, "training_data")
     x_rot = apply_rotation(model, x)
     book = model.codebook
-    k = book.codebook_size
-    values = np.zeros((book.num_blocks, k))
-    for j, off in enumerate(book.offsets):
-        block = x_rot[:, off : off + book.sub_dims[j]]
-        labels, _ = _assign_batch(block, book.centroids[j])
-        diff = block - book.centroids[j][labels]
-        err = np.einsum("ij,ij->i", diff, diff)
-        sums = np.bincount(labels, weights=err, minlength=k)
-        counts = np.bincount(labels, minlength=k)
-        filled = counts > 0
-        values[j, filled] = sums[filled] / counts[filled]
-        if empty_cells == "block-mean" and not filled.all() and err.size:
-            values[j, ~filled] = err.mean()
+    m, k, sub = book.centroids.shape
+    codes = pq_encode(book, x_rot)
+    diff = (x_rot - pq_decode(book, codes)).reshape(x.shape[0], m, sub)
+    err = np.einsum("nms,nms->nm", diff, diff)
+    # One bincount for all blocks: codeword c of block j is bin j*K + c.
+    cells = (codes + k * np.arange(m)).ravel()
+    sums = np.bincount(cells, weights=err.ravel(), minlength=m * k).reshape(m, k)
+    counts = np.bincount(cells, minlength=m * k).reshape(m, k)
+    filled = counts > 0
+    values = np.zeros((m, k))
+    values[filled] = sums[filled] / counts[filled]
+    if empty_cells == "block-mean" and err.size:
+        # One contiguous row per block, so each mean sums like a 1-d mean.
+        block_means = np.ascontiguousarray(err.T).mean(axis=1)
+        values = np.where(filled, values, block_means[:, None])
     return MseTable(values=values)
-
-
-def corrected_sqdist(estimate: float, code, mse: MseTable) -> float:
-    """Add the per-codeword error means selected by ``code`` to a raw
-    squared-distance estimate."""
-    codes = np.asarray(code)
-    if codes.ndim != 1:
-        raise ValueError(f"expected a single code, got shape {codes.shape}")
-    return float(estimate) + adc_scan(mse.values, codes)
 
 
 @dataclass(eq=False)

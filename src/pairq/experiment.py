@@ -140,10 +140,15 @@ def _validate_config(config: ExperimentConfig) -> None:
         )
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def task_kind(task: str) -> str:
+    """Estimate kind of a task; cosine is the scalar kind on unit rows."""
+    return SQDIST if task == "sqdist" else SCALAR
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """L2-normalize every row, leaving zero rows as they are."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return x / safe
+    return x / np.where(norms > 0.0, norms, 1.0)
 
 
 def _load_data(config: ExperimentConfig) -> SyntheticData:
@@ -164,10 +169,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     train_q = data.train_queries
     eval_q = data.eval_queries
     if config.task == "cosine":
-        database = _normalize_rows(database)
-        train_q = _normalize_rows(train_q)
-        eval_q = _normalize_rows(eval_q)
-    kind = SQDIST if config.task == "sqdist" else SCALAR
+        database = normalize_rows(database)
+        train_q = normalize_rows(train_q)
+        eval_q = normalize_rows(eval_q)
+    kind = task_kind(config.task)
 
     transform_cache: list = []
 

@@ -33,82 +33,35 @@ DEFAULT_PAIR_BUDGET = 10**7
 REL_ERR_FLOOR = 1e-12
 
 
-def scalar_mse_from_values(true_values, estimates) -> float:
-    """Mean squared estimation error."""
-    t = np.asarray(true_values, dtype=np.float64)
-    e = np.asarray(estimates, dtype=np.float64)
-    if t.shape != e.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {e.shape}")
-    if t.size == 0:
-        raise ValueError("no pairs to evaluate")
-    d = e - t
-    return float(np.mean(d * d))
-
-
-def rel_err_from_values(true_values, estimates, floor: float = REL_ERR_FLOOR):
-    """Mean relative absolute error, excluding near-zero true values.
-
-    Returns (mean, excluded_count); mean is NaN when every pair is
-    excluded.
-    """
-    t = np.asarray(true_values, dtype=np.float64)
-    e = np.asarray(estimates, dtype=np.float64)
-    if t.shape != e.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {e.shape}")
-    keep = t > floor
-    excluded = int(t.size - keep.sum())
-    if not keep.any():
-        return float("nan"), excluded
-    rel = np.abs(e[keep] - t[keep]) / t[keep]
-    return float(rel.mean()), excluded
-
-
-def bias_from_values(true_values, estimates) -> float:
-    """Mean signed error, estimate minus truth (negative means the method
-    underestimates)."""
-    t = np.asarray(true_values, dtype=np.float64)
-    e = np.asarray(estimates, dtype=np.float64)
-    if t.shape != e.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {e.shape}")
-    if t.size == 0:
-        raise ValueError("no pairs to evaluate")
-    return float(np.mean(e - t))
-
-
-def method_kind(method) -> str:
-    """The estimate kind a method naturally produces, where determined."""
-    if isinstance(method, PairQModel):
-        return method.mode
-    if isinstance(method, BiasCorrected):
-        return SQDIST
-    raise ValueError(f"kind is ambiguous for {type(method).__name__}")
-
-
 def estimate_batch(method, query, codes, kind: str) -> np.ndarray:
-    """Lookup-table estimates of ``kind`` for one query against codes."""
+    """Lookup-table estimates of ``kind`` for one query against codes.
+
+    Every method becomes one (num_blocks, K) table, scanned once, plus a
+    constant: ||q||^2 for pair-transform squared distances, else 0. Bias
+    correction folds the error-mean table into the squared-distance table.
+    """
     if kind not in (SCALAR, SQDIST):
         raise ValueError(f"unknown kind {kind!r}")
+    constant = 0.0
     if isinstance(method, PairQModel):
         if method.mode != kind:
             raise ValueError(
                 f"model mode {method.mode!r} cannot produce {kind!r} estimates"
             )
-        r = pairq_query_vector(method, query)
-        raw = adc_scan(build_lut_scalar(method.opq, r), codes)
+        table = build_lut_scalar(method.opq, pairq_query_vector(method, query))
         if kind == SQDIST:
             q = np.asarray(query, dtype=np.float64)
-            return float(q @ q) + raw
-        return raw
-    if isinstance(method, BiasCorrected):
+            constant = float(q @ q)
+    elif isinstance(method, BiasCorrected):
         if kind != SQDIST:
             raise ValueError("bias correction applies to squared distances only")
-        raw = adc_scan(build_lut_sqdist(method.opq, query), codes)
-        return raw + adc_scan(method.mse.values, codes)
-    if isinstance(method, OPQModel):
-        if kind == SCALAR:
-            return adc_scan(build_lut_scalar(method, query), codes)
-        return adc_scan(build_lut_sqdist(method, query), codes)
-    raise TypeError(f"unsupported method type {type(method).__name__}")
+        table = build_lut_sqdist(method.opq, query) + method.mse.values
+    elif isinstance(method, OPQModel):
+        build = build_lut_scalar if kind == SCALAR else build_lut_sqdist
+        table = build(method, query)
+    else:
+        raise TypeError(f"unsupported method type {type(method).__name__}")
+    return constant + adc_scan(table, codes)
 
 
 def true_values(query, database, kind: str) -> np.ndarray:

@@ -201,36 +201,25 @@ def assign(x, centroids) -> int:
 class PQCodebook:
     """Per-block codebooks for product quantization.
 
-    Blocks cover contiguous coordinate ranges; block j spans
-    ``offsets[j]:offsets[j] + sub_dims[j]``. All blocks share the same
-    number of centroids.
+    ``centroids`` has shape (M, K, s): block j covers coordinates
+    ``j*s:(j+1)*s`` and holds K centroids of width s.
     """
 
-    sub_dims: tuple[int, ...]
-    centroids: list[np.ndarray]
+    centroids: np.ndarray
     # True/False from training; None on models loaded from disk.
     converged: bool | None = True
 
     @property
     def num_blocks(self) -> int:
-        return len(self.sub_dims)
+        return self.centroids.shape[0]
 
     @property
     def codebook_size(self) -> int:
-        return self.centroids[0].shape[0]
+        return self.centroids.shape[1]
 
     @property
     def dim(self) -> int:
-        return int(sum(self.sub_dims))
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for d in self.sub_dims:
-            out.append(total)
-            total += d
-        return tuple(out)
+        return self.centroids.shape[0] * self.centroids.shape[2]
 
 
 def padded_dim(dim: int, num_blocks: int) -> int:
@@ -285,15 +274,14 @@ def train_pq(
     sub = x.shape[1] // num_blocks
     if sub == 0:
         raise ValueError(f"{num_blocks} blocks exceed dimension {x.shape[1]}")
-    centroids = []
-    converged = True
-    for j in range(num_blocks):
-        block = x[:, j * sub : (j + 1) * sub]
-        result = kmeans(block, codebook_size, max_iters=kmeans_iters, seed=seed + j)
-        centroids.append(result.centroids)
-        converged = converged and result.converged
+    results = [
+        kmeans(x[:, j * sub : (j + 1) * sub], codebook_size,
+               max_iters=kmeans_iters, seed=seed + j)
+        for j in range(num_blocks)
+    ]
     return PQCodebook(
-        sub_dims=(sub,) * num_blocks, centroids=centroids, converged=converged
+        centroids=np.stack([r.centroids for r in results]),
+        converged=all(r.converged for r in results),
     )
 
 
@@ -318,9 +306,9 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     arr = as_matrix(arr, "x")
     _check_codebook_input(codebook, arr)
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
-    for j, off in enumerate(codebook.offsets):
-        block = arr[:, off : off + codebook.sub_dims[j]]
-        labels, _ = _assign_batch(block, codebook.centroids[j])
+    sub = codebook.centroids.shape[2]
+    for j, block_centroids in enumerate(codebook.centroids):
+        labels, _ = _assign_batch(arr[:, j * sub : (j + 1) * sub], block_centroids)
         codes[:, j] = labels
     return codes[0] if single else codes
 
@@ -347,9 +335,8 @@ def pq_decode(codebook: PQCodebook, codes) -> np.ndarray:
     """Reconstruction by concatenating the selected sub-centroids."""
     single = np.asarray(codes).ndim == 1
     arr = _check_codes(codebook, codes)
-    out = np.empty((arr.shape[0], codebook.dim))
-    for j, off in enumerate(codebook.offsets):
-        out[:, off : off + codebook.sub_dims[j]] = codebook.centroids[j][arr[:, j]]
+    blocks = np.arange(codebook.num_blocks)
+    out = codebook.centroids[blocks, arr].reshape(arr.shape[0], codebook.dim)
     return out[0] if single else out
 
 
@@ -442,17 +429,15 @@ def train_opq(
                 x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
             )
         else:
-            refit = []
-            converged = True
-            for j, off in enumerate(codebook.offsets):
-                block = x_rot[:, off : off + codebook.sub_dims[j]]
-                result = _lloyd(
-                    block, codebook.centroids[j], kmeans_iters, context="codebook refit"
-                )
-                refit.append(result.centroids)
-                converged = converged and result.converged
+            sub = codebook.centroids.shape[2]
+            results = [
+                _lloyd(x_rot[:, j * sub : (j + 1) * sub], block_centroids,
+                       kmeans_iters, context="codebook refit")
+                for j, block_centroids in enumerate(codebook.centroids)
+            ]
             codebook = PQCodebook(
-                sub_dims=codebook.sub_dims, centroids=refit, converged=converged
+                centroids=np.stack([r.centroids for r in results]),
+                converged=all(r.converged for r in results),
             )
         x_hat = pq_decode(codebook, pq_encode(codebook, x_rot))
         diff = x_rot - x_hat

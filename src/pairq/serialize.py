@@ -9,16 +9,17 @@ in row-major order:
     n       raw input dimension (before lifting and padding)
     M       number of blocks
     K       codebook size
-    sub_dims M int32 block widths
+    widths  M int32 block widths, all equal to s
     flags   bit 0 rotation present, bit 1 transform present,
             bit 2 error-mean table present
-    [rotation]   d*d floats, d = sum(sub_dims)
-    centroids    M blocks of K*sub_dims[j] floats
+    [rotation]   d*d floats, d = M*s
+    centroids    M*K*s floats: the (M, K, s) codebook, block-major
     [transform]  m int32, then m*m floats (matrix), m*m floats (pinv)
     [mse]        M*K floats
 
-Arrays are float32 on disk, so reloaded models reproduce estimates at
-float32 precision.
+Blocks always have equal width; a header with unequal widths is rejected
+as corrupt. Arrays are float32 on disk, so reloaded models reproduce
+estimates at float32 precision.
 """
 
 from __future__ import annotations
@@ -96,11 +97,10 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
 
     parts = [MAGIC]
     parts.append(_ints([mode, n, book.num_blocks, book.codebook_size]))
-    parts.append(_ints(book.sub_dims))
+    parts.append(_ints([book.centroids.shape[2]] * book.num_blocks))
     parts.append(_ints([flags]))
     parts.append(_floats(opq.rotation))
-    for block in book.centroids:
-        parts.append(_floats(block))
+    parts.append(_floats(book.centroids))
     if transform is not None:
         parts.append(_ints([transform.dim]))
         parts.append(_floats(transform.matrix))
@@ -133,20 +133,22 @@ def load_model(path):
         raise ValueError(f"unknown mode {mode}")
     if num_blocks < 1 or codebook_size < 1:
         raise ValueError("corrupt header: non-positive block count or codebook size")
-    sub_dims = tuple(int(v) for v in reader.ints(num_blocks))
-    if any(s < 1 for s in sub_dims):
+    widths = reader.ints(num_blocks)
+    if widths.min() < 1:
         raise ValueError("corrupt header: non-positive block width")
+    if (widths != widths[0]).any():
+        raise ValueError("corrupt header: unequal block widths")
+    sub = int(widths[0])
     flags = int(reader.ints(1)[0])
     if flags & ~KNOWN_FLAGS:
         raise ValueError(f"unknown flag bits in {flags:#x}")
     if not flags & FLAG_ROTATION:
         raise ValueError("model file lacks a rotation section")
-    d = sum(sub_dims)
+    d = num_blocks * sub
     rotation = reader.floats((d, d))
-    centroids = [
-        reader.floats((codebook_size, sub)) for sub in sub_dims
-    ]
-    book = PQCodebook(sub_dims=sub_dims, centroids=centroids, converged=None)
+    book = PQCodebook(
+        centroids=reader.floats((num_blocks, codebook_size, sub)), converged=None
+    )
 
     transform = None
     if flags & FLAG_TRANSFORM:

@@ -29,7 +29,6 @@ from .quantizer import OPQModel, opq_encode, pad_columns, pq_decode, train_opq
 
 SCALAR = "scalar"
 SQDIST = "sqdist"
-MODES = (SCALAR, SQDIST)
 
 
 @dataclass(eq=False)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from pairq.estimator import (
-    LookupTable,
+    BiasCorrected,
+    MseTable,
     adc_scan,
     build_lut_scalar,
     build_lut_sqdist,
     compute_mse_table,
-    corrected_sqdist,
 )
+from pairq.metrics import estimate_batch
 from pairq.quantizer import (
+    OPQModel,
+    PQCodebook,
     apply_rotation,
     opq_encode,
     pq_decode,
@@ -32,8 +35,7 @@ class TestBuildLutScalar:
         rng = np.random.default_rng(0)
         _, model = trained_model(rng)
         lut = build_lut_scalar(model, np.zeros(8))
-        assert lut.kind == "scalar"
-        np.testing.assert_array_equal(lut.values, np.zeros((4, 8)))
+        np.testing.assert_array_equal(lut, np.zeros((4, 8)))
 
     def test_single_block_row_is_centroid_products(self):
         rng = np.random.default_rng(1)
@@ -41,7 +43,7 @@ class TestBuildLutScalar:
         r = rng.standard_normal(8)
         lut = build_lut_scalar(model, r)
         expected = model.codebook.centroids[0] @ (model.rotation @ r)
-        np.testing.assert_allclose(lut.values[0], expected, atol=1e-12)
+        np.testing.assert_allclose(lut[0], expected, atol=1e-12)
 
     def test_scan_equals_decode_route(self):
         rng = np.random.default_rng(2)
@@ -62,8 +64,8 @@ class TestBuildLutScalar:
         short = rng.standard_normal(7)
         padded = np.append(short, 0.0)
         np.testing.assert_array_equal(
-            build_lut_scalar(model, short).values,
-            build_lut_scalar(model, padded).values,
+            build_lut_scalar(model, short),
+            build_lut_scalar(model, padded),
         )
         with pytest.raises(ValueError, match="neither"):
             build_lut_scalar(model, np.zeros(6))
@@ -78,7 +80,7 @@ class TestBuildLutSqdist:
         # Map back to the input space so the builder re-rotates it.
         q = model.rotation.T @ q_rot
         lut = build_lut_sqdist(model, q)
-        total = sum(lut.values[j][3] for j in range(4))
+        total = sum(lut[j][3] for j in range(4))
         assert total <= 1e-18
 
     def test_scan_equals_decode_route(self):
@@ -97,7 +99,7 @@ class TestBuildLutSqdist:
         rng = np.random.default_rng(6)
         _, model = trained_model(rng)
         lut = build_lut_sqdist(model, rng.standard_normal(8))
-        assert (lut.values >= 0.0).all()
+        assert (lut >= 0.0).all()
 
 
 class TestAdcScan:
@@ -126,10 +128,6 @@ class TestAdcScan:
             sum(table[j, codes[i, j]] for j in range(6)) for i in range(10000)
         ])
         np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-12)
-
-    def test_accepts_lookup_table_object(self):
-        lut = LookupTable(kind="scalar", values=np.ones((2, 3)))
-        assert adc_scan(lut, np.array([0, 0])) == 2.0
 
     def test_rejects_bad_codes(self):
         table = np.zeros((2, 4))
@@ -202,24 +200,26 @@ class TestMseTable:
 
 
 class TestCorrectedSqdist:
-    def test_zero_table_is_identity(self):
-        from pairq.estimator import MseTable
+    """Bias correction folds the error-mean table into the squared-distance
+    table, so a corrected estimate still costs one scan."""
 
-        table = MseTable(values=np.zeros((3, 4)))
-        assert corrected_sqdist(7.5, np.array([0, 1, 2]), table) == 7.5
+    def test_zero_table_is_identity(self):
+        rng = np.random.default_rng(14)
+        x, model = trained_model(rng)
+        codes = opq_encode(model, x)
+        q = rng.standard_normal(8)
+        bc = BiasCorrected(opq=model, mse=MseTable(values=np.zeros((4, 8))))
+        np.testing.assert_array_equal(
+            estimate_batch(bc, q, codes, "sqdist"),
+            estimate_batch(model, q, codes, "sqdist"),
+        )
 
     def test_adds_selected_entries(self):
-        from pairq.estimator import MseTable
-
-        table = MseTable(values=np.ones((4, 2)))
-        assert corrected_sqdist(1.0, np.array([0, 1, 0, 1]), table) == 5.0
-
-    def test_rejects_code_batch(self):
-        from pairq.estimator import MseTable
-
-        table = MseTable(values=np.ones((2, 2)))
-        with pytest.raises(ValueError, match="single code"):
-            corrected_sqdist(0.0, np.zeros((3, 2), dtype=int), table)
+        book = PQCodebook(centroids=np.zeros((4, 2, 1)))
+        model = OPQModel(rotation=np.eye(4), codebook=book, input_dim=4)
+        bc = BiasCorrected(opq=model, mse=MseTable(values=np.ones((4, 2))))
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        assert estimate_batch(bc, q, np.array([0, 1, 0, 1]), "sqdist") == 5.0
 
 
 class TestFixedPointIdentities:

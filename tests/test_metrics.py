@@ -2,64 +2,88 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairq.estimator import BiasCorrected, build_lut_sqdist, compute_mse_table
 from pairq.metrics import (
-    bias_from_values,
     estimate_batch,
     eval_bias,
     eval_relative_dist_error,
     eval_scalar_mse,
     evaluate_method,
-    rel_err_from_values,
-    scalar_mse_from_values,
     true_values,
 )
-from pairq.quantizer import opq_encode, pq_decode, train_opq
+from pairq.quantizer import OPQModel, PQCodebook, opq_encode, pq_decode, train_opq
 from pairq.transform import (
     learn_scalar_transform,
     learn_sqdist_transform,
     pairq_encode,
+    pairq_estimate_scalar,
+    pairq_estimate_sqdist,
+    pairq_query_vector,
     train_pairq,
 )
 
 
+def _pairs(kind, truth, estimates):
+    """(method, queries, database, codes) for one query whose exact values
+    and estimates are given. Each database row gets its own codeword in a
+    one-block, one-dimensional quantizer: with q = 1 (scalar) or q = 0
+    (sqdist) the codeword value, or its square, is the estimate."""
+    t = np.asarray(truth, dtype=np.float64)
+    e = np.asarray(estimates, dtype=np.float64)
+    q = 1.0
+    if kind == "sqdist":
+        t, e, q = np.sqrt(t), np.sqrt(e), 0.0
+    book = PQCodebook(centroids=e.reshape(1, -1, 1))
+    model = OPQModel(rotation=np.eye(1), codebook=book, input_dim=1)
+    return model, [[q]], t[:, None], np.arange(e.size)[:, None]
+
+
+def _stats(kind, truth, estimates):
+    model, queries, database, codes = _pairs(kind, truth, estimates)
+    return evaluate_method(model, kind, queries, database, codes)
+
+
 class TestValueKernels:
+    """The pair metrics, computed inline by evaluate_method."""
+
     def test_scalar_mse(self):
-        assert scalar_mse_from_values([1.0, 2.0], [1.0, 2.0]) == 0.0
-        assert scalar_mse_from_values([0.0, 0.0], [1.0, -3.0]) == 5.0
+        assert _stats("scalar", [1.0, 2.0], [1.0, 2.0]).mse == 0.0
+        assert _stats("scalar", [0.0, 0.0], [1.0, -3.0]).mse == 5.0
 
     def test_rel_err_exact(self):
-        err, excluded = rel_err_from_values([1.0, 2.0], [1.0, 2.0])
-        assert err == 0.0 and excluded == 0
+        stats = _stats("sqdist", [1.0, 2.0], [1.0, 2.0])
+        assert stats.mean_rel_error == 0.0 and stats.excluded_pairs == 0
 
     def test_rel_err_doubled_estimates(self):
-        err, excluded = rel_err_from_values([1.0, 5.0, 0.5], [2.0, 10.0, 1.0])
-        assert err == pytest.approx(1.0)
-        assert excluded == 0
+        stats = _stats("sqdist", [1.0, 5.0, 0.5], [2.0, 10.0, 1.0])
+        assert stats.mean_rel_error == pytest.approx(1.0)
+        assert stats.excluded_pairs == 0
 
     def test_rel_err_excludes_degenerate_pairs(self):
-        err, excluded = rel_err_from_values([0.0, 1e-15, 4.0], [1.0, 1.0, 5.0])
-        assert excluded == 2
-        assert err == pytest.approx(0.25)
+        stats = _stats("sqdist", [0.0, 1e-15, 4.0], [1.0, 1.0, 5.0])
+        assert stats.excluded_pairs == 2
+        assert stats.mean_rel_error == pytest.approx(0.25)
 
     def test_rel_err_all_excluded_is_nan(self):
-        err, excluded = rel_err_from_values([0.0, 0.0], [1.0, 1.0])
-        assert np.isnan(err) and excluded == 2
+        stats = _stats("sqdist", [0.0, 0.0], [1.0, 1.0])
+        assert stats.mean_rel_error is None and stats.excluded_pairs == 2
+        pairs = _pairs("sqdist", [0.0, 0.0], [1.0, 1.0])
+        assert np.isnan(eval_relative_dist_error(*pairs))
 
     def test_bias_sign_convention(self):
         # Underestimates come out negative.
-        assert bias_from_values([10.0, 10.0], [9.0, 8.0]) == -1.5
+        assert _stats("scalar", [10.0, 10.0], [9.0, 8.0]).mean_signed_error == -1.5
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            scalar_mse_from_values([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            bias_from_values([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="do not match"):
+            _stats("scalar", [1.0], [1.0, 2.0])
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="no pairs"):
-            scalar_mse_from_values([], [])
+        with pytest.raises(ValueError, match="at least one"):
+            _stats("scalar", [], [])
 
 
 class TestTrueValues:
@@ -122,6 +146,71 @@ class TestEstimateBatch:
         with pytest.raises(TypeError, match="unsupported"):
             estimate_batch(object(), np.zeros(2), np.zeros((1, 2), dtype=int),
                            "scalar")
+
+
+@st.composite
+def quantizer_shapes(draw):
+    """(dim, blocks, codebook size, seed); blocks need not divide dim."""
+    dim = draw(st.integers(1, 6))
+    return (dim, draw(st.integers(1, dim)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**16)))
+
+
+def _decoded_opq(model, q, codes, kind):
+    z = pq_decode(model.codebook, codes)
+    q_rot = model.rotation @ np.pad(q, (0, model.dim - q.shape[0]))
+    if kind == "scalar":
+        return z @ q_rot
+    return ((z - q_rot) ** 2).sum(axis=1)
+
+
+class TestScanMatchesDecode:
+    """One table scan per query equals decoding every code and scoring the
+    reconstruction, for every method, including one codeword per block,
+    blocks of width 1 and zero-padded dimensions."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(shape=quantizer_shapes())
+    @example(shape=(4, 4, 1, 0))
+    @example(shape=(5, 5, 3, 1))
+    @example(shape=(5, 2, 2, 2))
+    def test_every_method(self, shape):
+        dim, blocks, k, seed = shape
+        rng = np.random.default_rng(seed)
+        db = rng.standard_normal((12, dim)) * rng.uniform(0.5, 2.0, dim)
+        train_q = rng.standard_normal((10, dim))
+        queries = rng.standard_normal((3, dim))
+        opts = dict(outer_iters=1, kmeans_iters=4, seed=seed)
+        opq = train_opq(db, blocks, k, pad=True, **opts)
+        codes = opq_encode(opq, db)
+        mse = compute_mse_table(opq, db)
+        bc = BiasCorrected(opq=opq, mse=mse)
+        selected_mse = mse.values[np.arange(opq.codebook.num_blocks), codes].sum(axis=1)
+        pair = {
+            kind: train_pairq(learn(train_q), db, blocks, k, **opts)
+            for kind, learn in (("scalar", learn_scalar_transform),
+                                ("sqdist", learn_sqdist_transform))
+        }
+        for q in queries:
+            checks = [
+                (estimate_batch(opq, q, codes, kind), _decoded_opq(opq, q, codes, kind))
+                for kind in ("scalar", "sqdist")
+            ]
+            checks.append((
+                estimate_batch(bc, q, codes, "sqdist"),
+                _decoded_opq(opq, q, codes, "sqdist") + selected_mse,
+            ))
+            for kind, model in pair.items():
+                pair_codes = pairq_encode(model, db)
+                r = pairq_query_vector(model, q)
+                if kind == "scalar":
+                    direct = [pairq_estimate_scalar(model, r, c) for c in pair_codes]
+                else:
+                    direct = [pairq_estimate_sqdist(model, q, r, c) for c in pair_codes]
+                checks.append((estimate_batch(model, q, pair_codes, kind), direct))
+            for scan, direct in checks:
+                scale = max(1.0, float(np.abs(direct).max()))
+                np.testing.assert_allclose(scan, direct, rtol=0, atol=1e-12 * scale)
 
 
 class TestEvaluateMethod:
@@ -225,7 +314,6 @@ class TestPublicWrappers:
     def test_negative_sqdist_estimates_are_kept(self):
         # A codeword whose norm coordinate is quantized far too low makes
         # the estimate negative; it must pass through unclamped.
-        from pairq.quantizer import OPQModel, PQCodebook
         from pairq.transform import PairQModel, PairTransform, \
             pairq_estimate_sqdist, pairq_query_vector
 
@@ -233,7 +321,7 @@ class TestPublicWrappers:
             mode="sqdist", source_dim=1, matrix=np.eye(2), pinv=np.eye(2),
             second_moment=np.eye(2),
         )
-        book = PQCodebook(sub_dims=(2,), centroids=[np.array([[0.0, -5.0]])])
+        book = PQCodebook(centroids=np.array([[[0.0, -5.0]]]))
         opq = OPQModel(rotation=np.eye(2), codebook=book, input_dim=2)
         model = PairQModel(transform=transform, opq=opq)
         q = np.zeros(1)

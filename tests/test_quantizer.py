@@ -189,7 +189,7 @@ class TestTrainPQ:
         x = rng.standard_normal((60, 7))
         book = train_pq(x, 2, 4, seed=0, pad=True)
         assert book.dim == 8
-        assert book.sub_dims == (4, 4)
+        assert book.centroids.shape == (2, 4, 4)
 
     def test_codebook_size_cap(self):
         with pytest.raises(ValueError, match=r"\[1, 256\]"):

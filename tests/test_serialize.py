@@ -1,5 +1,7 @@
 """Round-trip and corruption tests for the binary model format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,11 @@ class TestRoundTrip:
         assert isinstance(loaded, OPQModel)
         assert loaded.input_dim == 7
         assert loaded.converged is None
-        assert loaded.codebook.sub_dims == model.codebook.sub_dims
+        assert loaded.codebook.centroids.shape == (4, 8, 2)
         np.testing.assert_array_equal(loaded.rotation, f32(model.rotation))
-        for j in range(4):
-            np.testing.assert_array_equal(
-                loaded.codebook.centroids[j], f32(model.codebook.centroids[j])
-            )
+        np.testing.assert_array_equal(
+            loaded.codebook.centroids, f32(model.codebook.centroids)
+        )
 
     def test_opq_with_mse_table(self, tmp_model):
         x, model = make_opq()
@@ -146,3 +147,56 @@ class TestCorruption:
             fh.write(np.asarray([9], dtype="<i4").tobytes())
         with pytest.raises(ValueError, match="mode"):
             load_model(tmp_model)
+
+
+# A scalar-mode transform model written field by field from the documented
+# layout: n = 3 raw dimensions padded to d = M*s = 4, M = 2 blocks of width
+# s = 2, K = 3 codewords, flags = rotation | transform | error-mean table.
+GOLDEN_ROTATION = np.eye(4)[[1, 0, 3, 2]]
+GOLDEN_CENTROIDS = 0.5 * np.arange(12.0).reshape(2, 3, 2)
+GOLDEN_MATRIX = np.diag([2.0, 1.0, 0.5])
+GOLDEN_PINV = np.diag([0.5, 1.0, 2.0])
+GOLDEN_MSE = 0.25 * np.arange(6.0).reshape(2, 3)
+
+
+def golden_bytes(widths=(2, 2)):
+    def floats(arr):
+        return struct.pack(f"<{arr.size}f", *arr.ravel())
+
+    return b"".join([
+        b"PAIRQ1",
+        struct.pack("<4i", 1, 3, 2, 3),  # mode, n, M, K
+        struct.pack("<2i", *widths),
+        struct.pack("<i", 7),
+        floats(GOLDEN_ROTATION),
+        floats(GOLDEN_CENTROIDS),
+        struct.pack("<i", 3),
+        floats(GOLDEN_MATRIX),
+        floats(GOLDEN_PINV),
+        floats(GOLDEN_MSE),
+    ])
+
+
+class TestGoldenFile:
+    def test_reads_documented_layout_and_writes_it_back(self, tmp_path):
+        path = tmp_path / "golden.pairq"
+        path.write_bytes(golden_bytes())
+        model, mse = load_model(str(path))
+        assert isinstance(model, PairQModel) and model.mode == "scalar"
+        assert model.transform.source_dim == 3 and model.opq.input_dim == 3
+        assert model.opq.codebook.centroids.shape == (2, 3, 2)
+        np.testing.assert_array_equal(model.opq.codebook.centroids, GOLDEN_CENTROIDS)
+        np.testing.assert_array_equal(model.opq.rotation, GOLDEN_ROTATION)
+        np.testing.assert_array_equal(model.transform.matrix, GOLDEN_MATRIX)
+        np.testing.assert_array_equal(model.transform.pinv, GOLDEN_PINV)
+        np.testing.assert_array_equal(mse.values, GOLDEN_MSE)
+        copy = tmp_path / "copy.pairq"
+        save_model(str(copy), model, mse_table=mse)
+        assert copy.read_bytes() == golden_bytes()
+
+    def test_rejects_unequal_block_widths(self, tmp_path):
+        # Widths 1 and 3 still sum to 4, so the section sizes all match.
+        path = tmp_path / "unequal.pairq"
+        path.write_bytes(golden_bytes(widths=(1, 3)))
+        with pytest.raises(ValueError, match="unequal block widths"):
+            load_model(str(path))
