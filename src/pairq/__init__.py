@@ -48,7 +48,6 @@ from .quantizer import (
     KMeansResult,
     OPQModel,
     PQCodebook,
-    assign,
     kmeans,
     opq_decode,
     opq_encode,
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SymEig", "sym_eig", "psd_sqrt", "pseudo_inverse", "procrustes",
-    "KMeansResult", "kmeans", "assign",
+    "KMeansResult", "kmeans",
     "PQCodebook", "train_pq", "pq_encode", "pq_decode",
     "OPQModel", "train_opq", "opq_encode", "opq_decode",
     "reconstruction_error",

@@ -34,6 +34,8 @@ from .estimator import BiasCorrected, compute_mse_table
 from .experiment import (
     TASKS,
     ExperimentConfig,
+    encode,
+    fit_method,
     normalize_rows,
     run_experiment,
     task_kind,
@@ -41,15 +43,9 @@ from .experiment import (
     write_report_json,
 )
 from .metrics import evaluate_method
-from .quantizer import opq_encode, train_opq
 from .serialize import load_model, save_model
-from .transform import (
-    PairQModel,
-    learn_scalar_transform,
-    learn_sqdist_transform,
-    pairq_encode,
-    train_pairq,
-)
+from .transform import PairQModel
+
 
 def _load_vectors(path, mode: str) -> np.ndarray:
     data = read_fvecs(path).astype(np.float64)
@@ -92,44 +88,30 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.mse and (args.method, args.mode) != ("opq", "sqdist"):
+        print("error: --mse only applies to --method opq --mode sqdist",
+              file=sys.stderr)
+        return 2
+    if args.method == "pairq" and args.train_queries is None:
+        print("error: --train-queries is required for the pairq method",
+              file=sys.stderr)
+        return 2
     database = _load_vectors(args.database, args.mode)
-    mse = None
+    queries = None
     if args.method == "pairq":
-        if args.train_queries is None:
-            print("error: --train-queries is required for the pairq method",
-                  file=sys.stderr)
-            return 2
         queries = _load_vectors(args.train_queries, args.mode)
-        if args.mode == "sqdist":
-            transform = learn_sqdist_transform(queries)
-        else:
-            transform = learn_scalar_transform(queries)
-        model = train_pairq(
-            transform, database, args.blocks, args.codebook_size,
-            outer_iters=args.outer_iters, kmeans_iters=args.kmeans_iters,
-            seed=args.seed,
-        )
-        trace = model.opq.trace
-        converged = model.opq.converged
-    else:
-        model = train_opq(
-            database, args.blocks, args.codebook_size,
-            outer_iters=args.outer_iters, kmeans_iters=args.kmeans_iters,
-            seed=args.seed, pad=True,
-        )
-        if args.mse:
-            if args.mode != "sqdist":
-                print("error: --mse only applies to --mode sqdist",
-                      file=sys.stderr)
-                return 2
-            mse = compute_mse_table(model, database)
-        trace = model.trace
-        converged = model.converged
+    model = fit_method(
+        args.mode, args.method, database, queries, args.blocks,
+        args.codebook_size, outer_iters=args.outer_iters,
+        kmeans_iters=args.kmeans_iters, seed=args.seed,
+    )
+    mse = compute_mse_table(model, database) if args.mse else None
     save_model(args.out, model, mse_table=mse)
+    opq = model.opq if isinstance(model, PairQModel) else model
     print(
         f"trained {args.method} (mode={args.mode}, blocks={args.blocks}, "
-        f"codebook={args.codebook_size}); objective {trace[0]:.6g} -> "
-        f"{trace[-1]:.6g}, converged={converged}"
+        f"codebook={args.codebook_size}); objective {opq.trace[0]:.6g} -> "
+        f"{opq.trace[-1]:.6g}, converged={opq.converged}"
     )
     print(f"wrote {args.out}")
     return 0
@@ -138,10 +120,7 @@ def _cmd_train(args) -> int:
 def _cmd_encode(args) -> int:
     model, _ = load_model(args.model)
     database = _load_vectors(args.database, args.mode)
-    if isinstance(model, PairQModel):
-        codes = pairq_encode(model, database)
-    else:
-        codes = opq_encode(model, database)
+    codes = encode(model, database)
     write_ivecs(args.out, codes.astype(np.int32))
     print(f"wrote {args.out} ({codes.shape[0]} codes, {codes.shape[1]} blocks)")
     return 0
@@ -269,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--database", required=True, help="fvecs file")
     p.add_argument("--train-queries", help="fvecs file (required for pairq)")
     p.add_argument("--mse", action="store_true",
-                   help="store the per-codeword error means (opq, sqdist)")
+                   help="store the per-codeword error means "
+                        "(only with --method opq --mode sqdist)")
     _add_common_training_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=_cmd_train)

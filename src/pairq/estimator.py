@@ -84,17 +84,11 @@ def adc_scan(lut, codes) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-def compute_mse_table(
-    model: OPQModel, training_data, empty_cells: str = "zero"
-) -> MseTable:
+def compute_mse_table(model: OPQModel, training_data) -> MseTable:
     """Per-codeword mean squared quantization error on training data.
 
-    Codewords that receive no training points get 0 by default; with
-    ``empty_cells="block-mean"`` they get the block's overall mean error
-    instead.
+    Codewords that receive no training points get 0.
     """
-    if empty_cells not in ("zero", "block-mean"):
-        raise ValueError(f"unknown empty_cells policy {empty_cells!r}")
     x = as_matrix(training_data, "training_data")
     x_rot = apply_rotation(model, x)
     book = model.codebook
@@ -109,10 +103,6 @@ def compute_mse_table(
     filled = counts > 0
     values = np.zeros((m, k))
     values[filled] = sums[filled] / counts[filled]
-    if empty_cells == "block-mean" and err.size:
-        # One contiguous row per block, so each mean sums like a 1-d mean.
-        block_means = np.ascontiguousarray(err.T).mean(axis=1)
-        values = np.where(filled, values, block_means[:, None])
     return MseTable(values=values)
 
 

@@ -2,9 +2,13 @@
 
 A run covers one task (scalar products, cosine similarities via prior
 normalization, or squared distances), a list of methods, and a list of
-block counts. Every (method, block count) cell trains, encodes, and
-evaluates independently; a cell that raises is recorded as failed without
-taking down the rest of the grid.
+block counts. ``fit_method`` is the one place that turns (task, method)
+into a trained model, for the grid and the ``pairq train`` command alike.
+Per block count, ``opq`` and ``opq-bc`` share one OPQ model and its codes:
+``opq-bc`` adds only the error-mean table, so when it runs after ``opq``
+its ``train_encode`` timing covers just that table. Every ``pairq`` cell
+learns its own query transform. A cell that raises is recorded as failed
+without taking down the rest of the grid.
 
 Reports write to CSV and JSON. The CSV holds only deterministic columns,
 so a rerun with the same config and seed produces byte-identical output;
@@ -32,8 +36,9 @@ from .datasets import (
 from .estimator import BiasCorrected, compute_mse_table
 from .linalg import as_matrix
 from .metrics import SCALAR, SQDIST, EvalStats, evaluate_method
-from .quantizer import opq_encode, train_opq
+from .quantizer import OPQModel, opq_encode, train_opq
 from .transform import (
+    PairQModel,
     learn_scalar_transform,
     learn_sqdist_transform,
     pairq_encode,
@@ -151,6 +156,49 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
+def fit_method(
+    task: str,
+    method: str,
+    database: np.ndarray,
+    train_queries: np.ndarray | None,
+    num_blocks: int,
+    codebook_size: int,
+    outer_iters: int = 20,
+    kmeans_iters: int = 25,
+    seed: int = 0,
+) -> OPQModel | PairQModel:
+    """Train the ``opq`` or ``pairq`` model of a task.
+
+    ``opq`` quantizes the database directly; ``pairq`` learns the task's
+    query-moment transform from ``train_queries`` and quantizes the
+    transformed database with the same trainer. Both zero-pad dimensions
+    that ``num_blocks`` does not divide. ``opq-bc`` is the ``opq`` model
+    plus ``compute_mse_table``, so it is not trained here. Cosine inputs
+    must already be normalized.
+    """
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
+    opts = dict(outer_iters=outer_iters, kmeans_iters=kmeans_iters, seed=seed)
+    if method == "opq":
+        return train_opq(database, num_blocks, codebook_size, pad=True, **opts)
+    if method == "pairq":
+        learn = (
+            learn_sqdist_transform if task_kind(task) == SQDIST
+            else learn_scalar_transform
+        )
+        return train_pairq(
+            learn(train_queries), database, num_blocks, codebook_size, **opts
+        )
+    raise ValueError(f"fit_method trains 'opq' or 'pairq', got {method!r}")
+
+
+def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
+    """Codes for raw database vectors under a ``fit_method`` model."""
+    if isinstance(model, PairQModel):
+        return pairq_encode(model, database)
+    return opq_encode(model, database)
+
+
 def _load_data(config: ExperimentConfig) -> SyntheticData:
     if config.synthetic is not None:
         return gen_synthetic(config.synthetic, seed=config.seed)
@@ -174,39 +222,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
         eval_q = normalize_rows(eval_q)
     kind = task_kind(config.task)
 
-    transform_cache: list = []
-
-    def _transform():
-        # Lazy so a transform failure only breaks the pairq cells.
-        if not transform_cache:
-            learn = (
-                learn_sqdist_transform if kind == SQDIST else learn_scalar_transform
-            )
-            transform_cache.append(learn(train_q))
-        return transform_cache[0]
-
     dim = database.shape[1]
     cells: list[CellResult] = []
     for num_blocks in config.block_counts:
-        opq_model = None
-        opq_codes = None
+        # (model, codes) per trained family; opq and opq-bc share "opq".
+        fitted: dict[str, tuple] = {}
         opq_stats: EvalStats | None = None
-
-        def _opq():
-            nonlocal opq_model, opq_codes
-            if opq_model is None:
-                opq_model = train_opq(
-                    database,
-                    num_blocks,
-                    config.codebook_size,
-                    outer_iters=config.outer_iters,
-                    kmeans_iters=config.kmeans_iters,
-                    seed=config.seed,
-                    pad=True,
-                )
-                opq_codes = opq_encode(opq_model, database)
-            return opq_model, opq_codes
-
         for method in config.methods:
             cell = CellResult(
                 task=config.task,
@@ -218,25 +239,19 @@ def run_experiment(config: ExperimentConfig) -> Report:
             )
             try:
                 t0 = time.perf_counter()
-                if method == "opq":
-                    scorer, codes = _opq()
-                elif method == "opq-bc":
-                    model, codes = _opq()
+                family = "opq" if method == "opq-bc" else method
+                if family not in fitted:
+                    model = fit_method(
+                        config.task, family, database, train_q, num_blocks,
+                        config.codebook_size, outer_iters=config.outer_iters,
+                        kmeans_iters=config.kmeans_iters, seed=config.seed,
+                    )
+                    fitted[family] = (model, encode(model, database))
+                scorer, codes = fitted[family]
+                if method == "opq-bc":
                     scorer = BiasCorrected(
-                        opq=model, mse=compute_mse_table(model, database)
+                        opq=scorer, mse=compute_mse_table(scorer, database)
                     )
-                else:
-                    model = train_pairq(
-                        _transform(),
-                        database,
-                        num_blocks,
-                        config.codebook_size,
-                        outer_iters=config.outer_iters,
-                        kmeans_iters=config.kmeans_iters,
-                        seed=config.seed,
-                    )
-                    codes = pairq_encode(model, database)
-                    scorer = model
                 t1 = time.perf_counter()
                 stats = evaluate_method(
                     scorer, kind, eval_q, database, codes,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, procrustes
+from .linalg import as_matrix, procrustes
 
 # Largest codebook size representable in one byte per sub-index.
 MAX_CODEBOOK = 256
@@ -187,16 +187,6 @@ def kmeans(points, k: int, max_iters: int = 25, seed: int = 0) -> KMeansResult:
     return _lloyd(x, centroids, max_iters)
 
 
-def assign(x, centroids) -> int:
-    """Index of the centroid nearest to x, lowest index winning ties."""
-    x = as_vector(x, "x")
-    c = as_matrix(centroids, "centroids")
-    if x.shape[0] != c.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {c.shape[1]}")
-    diff = c - x[None, :]
-    return int(np.einsum("ij,ij->i", diff, diff).argmin())
-
-
 @dataclass(eq=False)
 class PQCodebook:
     """Per-block codebooks for product quantization.
@@ -244,14 +234,12 @@ def train_pq(
     codebook_size: int,
     kmeans_iters: int = 25,
     seed: int = 0,
-    pad: bool = False,
 ) -> PQCodebook:
     """Fit one k-means codebook per contiguous coordinate block.
 
-    The input dimension must be divisible by ``num_blocks`` unless ``pad``
-    is set, in which case zero columns are appended up to the next
-    multiple. Block j is seeded with ``seed + j`` so a single-block fit
-    reproduces ``kmeans(data, codebook_size, ..., seed)`` exactly.
+    The input dimension must be divisible by ``num_blocks``. Block j is
+    seeded with ``seed + j`` so a single-block fit reproduces
+    ``kmeans(data, codebook_size, ..., seed)`` exactly.
     """
     x = as_matrix(data, "data")
     if num_blocks < 1:
@@ -265,12 +253,9 @@ def train_pq(
             f"codebook_size={codebook_size} exceeds point count {x.shape[0]}"
         )
     if x.shape[1] % num_blocks != 0:
-        if not pad:
-            raise ValueError(
-                f"dimension {x.shape[1]} not divisible by {num_blocks} blocks; "
-                "pass pad=True to zero-pad"
-            )
-        x = pad_columns(x, padded_dim(x.shape[1], num_blocks))
+        raise ValueError(
+            f"dimension {x.shape[1]} not divisible by {num_blocks} blocks"
+        )
     sub = x.shape[1] // num_blocks
     if sub == 0:
         raise ValueError(f"{num_blocks} blocks exceed dimension {x.shape[1]}")
@@ -384,19 +369,16 @@ def train_opq(
     kmeans_iters: int = 25,
     seed: int = 0,
     pad: bool = False,
-    init_rotation: str = "identity",
 ) -> OPQModel:
     """Alternate per-block codebook fits with orthogonal rotation updates.
 
     Each outer iteration refits the codebooks on the rotated data (warm
     started from the previous centroids) and then solves the Procrustes
     problem for the rotation that best aligns the data with its current
-    reconstruction. With ``outer_iters=0`` the result is a plain product
-    quantizer under the initial rotation.
-
-    Args:
-        init_rotation: "identity" or "pca" (eigenvectors of the data
-            covariance, largest first).
+    reconstruction. The rotation starts at the identity, so with
+    ``outer_iters=0`` the result is a plain product quantizer. With ``pad``
+    a dimension that ``num_blocks`` does not divide is zero-padded up to
+    the next multiple.
     """
     x = as_matrix(data, "data")
     if x.shape[1] % num_blocks != 0:
@@ -409,16 +391,7 @@ def train_opq(
         raise ValueError("outer_iters must be >= 0")
     input_dim = x.shape[1]
     x = pad_columns(x, padded_dim(input_dim, num_blocks))
-    d = x.shape[1]
-    if init_rotation == "identity":
-        rotation = np.eye(d)
-    elif init_rotation == "pca":
-        centered = x - x.mean(axis=0)
-        cov = (centered.T @ centered) / max(x.shape[0], 1)
-        w, v = np.linalg.eigh(cov)
-        rotation = v[:, ::-1].T
-    else:
-        raise ValueError(f"unknown init_rotation {init_rotation!r}")
+    rotation = np.eye(x.shape[1])
 
     codebook: PQCodebook | None = None
     trace: list[float] = []

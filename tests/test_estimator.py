@@ -15,7 +15,6 @@ from pairq.metrics import estimate_batch
 from pairq.quantizer import (
     OPQModel,
     PQCodebook,
-    apply_rotation,
     opq_encode,
     pq_decode,
     reconstruction_error,
@@ -172,7 +171,7 @@ class TestMseTable:
             rtol=1e-10,
         )
 
-    def test_empty_cells_zero_and_block_mean(self):
+    def test_empty_cells_are_zero(self):
         rng = np.random.default_rng(11)
         x, model = trained_model(rng, n=400, k=16)
         subset = x[:3]
@@ -182,21 +181,6 @@ class TestMseTable:
             unused = np.setdiff1d(np.arange(16), codes[:, j])
             assert unused.size > 0
             np.testing.assert_array_equal(zeroed.values[j, unused], 0.0)
-        filled = compute_mse_table(model, subset, empty_cells="block-mean")
-        x_rot = apply_rotation(model, subset)
-        for j in range(4):
-            unused = np.setdiff1d(np.arange(16), codes[:, j])
-            block = x_rot[:, 2 * j : 2 * j + 2]
-            hats = model.codebook.centroids[j][codes[:, j]]
-            mean_err = ((block - hats) ** 2).sum(axis=1).mean()
-            np.testing.assert_allclose(filled.values[j, unused], mean_err,
-                                       rtol=1e-10)
-
-    def test_rejects_unknown_policy(self):
-        rng = np.random.default_rng(12)
-        x, model = trained_model(rng)
-        with pytest.raises(ValueError, match="empty_cells"):
-            compute_mse_table(model, x, empty_cells="nan")
 
 
 class TestCorrectedSqdist:

@@ -7,14 +7,25 @@ import os
 import numpy as np
 import pytest
 
+from pairq import experiment
 from pairq.cli import main
-from pairq.datasets import SyntheticSpec, gen_synthetic, read_ivecs, write_fvecs
+from pairq.datasets import (
+    SyntheticSpec,
+    gen_synthetic,
+    read_fvecs,
+    read_ivecs,
+    write_fvecs,
+)
+from pairq.estimator import compute_mse_table
 from pairq.experiment import (
     ExperimentConfig,
+    fit_method,
+    normalize_rows,
     run_experiment,
     write_report_csv,
     write_report_json,
 )
+from pairq.serialize import save_model
 
 
 def tiny_spec(**kw):
@@ -119,6 +130,39 @@ class TestRunExperiment:
                              train_queries_path=tq, eval_queries_path=eq)
         report = run_experiment(config)
         assert all(c.error is None for c in report.cells)
+
+
+class TestFitMethod:
+    def test_rejects_what_it_does_not_train(self):
+        data = gen_synthetic(tiny_spec(), seed=0)
+        args = (data.database, data.train_queries, 2, 8)
+        with pytest.raises(ValueError, match="opq-bc"):
+            fit_method("sqdist", "opq-bc", *args)
+        with pytest.raises(ValueError, match="'aq'"):
+            fit_method("scalar", "aq", *args)
+        with pytest.raises(ValueError, match="task"):
+            fit_method("l1", "opq", *args)
+
+    def test_grid_trains_opq_once_per_block_count(self, monkeypatch):
+        # opq and opq-bc share one OPQ model per block count.
+        calls = {"opq": 0, "pairq": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiment, "train_opq",
+                            counted("opq", experiment.train_opq))
+        monkeypatch.setattr(experiment, "train_pairq",
+                            counted("pairq", experiment.train_pairq))
+        report = run_experiment(tiny_config(
+            task="sqdist", methods=("opq", "opq-bc", "pairq"),
+            block_counts=(2, 4),
+        ))
+        assert all(c.error is None for c in report.cells)
+        assert calls == {"opq": 2, "pairq": 2}
 
 
 class TestReportFiles:
@@ -249,6 +293,55 @@ class TestCli:
                        "--database", "d/database.fvecs", "--out", "m.pairq")
         assert code == 2
         assert "train-queries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, method, mse", [
+        ("scalar", "opq", False), ("scalar", "pairq", False),
+        ("cosine", "opq", False), ("cosine", "pairq", False),
+        ("sqdist", "opq", False), ("sqdist", "pairq", False),
+        ("sqdist", "opq", True),
+    ])
+    def test_train_writes_the_fit_method_model(self, workdir, task, method, mse):
+        # Dimension 7 pads for two blocks; the lifted sqdist pairq space
+        # (dimension 8) does not.
+        run_cli("synth", "--dim", 7, "--database-size", 120,
+                "--train-queries", 60, "--eval-queries", 4,
+                "--query-decay", 2.0, "--out-dir", "d")
+        code = run_cli("train", "--mode", task, "--method", method,
+                       *(["--mse"] if mse else []),
+                       "--database", "d/database.fvecs",
+                       "--train-queries", "d/train_queries.fvecs",
+                       "-M", 2, "-K", 4, "--outer-iters", 1,
+                       "--kmeans-iters", 5, "--seed", 3, "--out", "cli.pairq")
+        assert code == 0
+        db, tq = (read_fvecs(f"d/{n}.fvecs").astype(np.float64)
+                  for n in ("database", "train_queries"))
+        if task == "cosine":
+            db, tq = normalize_rows(db), normalize_rows(tq)
+        model = fit_method(task, method, db, tq, 2, 4, outer_iters=1,
+                           kmeans_iters=5, seed=3)
+        table = compute_mse_table(model, db) if mse else None
+        save_model("api.pairq", model, mse_table=table)
+        with open("cli.pairq", "rb") as a, open("api.pairq", "rb") as b:
+            assert a.read() == b.read()
+
+    def test_train_rejects_mse_for_pairq(self, workdir, capsys):
+        run_cli("synth", "--dim", 4, "--database-size", 50,
+                "--train-queries", 20, "--eval-queries", 5, "--out-dir", "d")
+        code = run_cli("train", "--mode", "sqdist", "--method", "pairq",
+                       "--mse", "--database", "d/database.fvecs",
+                       "--train-queries", "d/train_queries.fvecs",
+                       "-M", 2, "-K", 4, "--out", "m.pairq")
+        assert code == 2
+        assert "--mse" in capsys.readouterr().err
+        assert not os.path.exists("m.pairq")
+
+    def test_train_checks_mse_before_reading_files(self, workdir, capsys):
+        code = run_cli("train", "--mode", "scalar", "--method", "opq", "--mse",
+                       "--database", "missing.fvecs", "--out", "m.pairq")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--mse" in err
+        assert "missing.fvecs" not in err
 
     def test_eval_mode_mismatch(self, workdir, capsys):
         run_cli("synth", "--dim", 4, "--database-size", 60,
