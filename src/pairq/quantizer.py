@@ -1,6 +1,15 @@
 """Vector quantizers: Lloyd k-means, product quantization, and the rotated
 variant that alternates codebook fits with an orthogonal Procrustes update.
 
+Assignment (``_assign_batch``, behind Lloyd, ``pq_encode`` and every encoder
+built on it) walks the rows in tiles of about ``TILE_ENTRIES`` distances, so
+its buffers stay in cache. Each tile is one matrix product ``-2 x·c`` into a
+reused buffer; the winner is the argmin of ``‖c‖² − 2 x·c``, because ``‖x‖²``
+is the same for every centroid of a row. ``‖x‖²`` is added back for the
+winner only and the result clamped at 0. k-means++ seeding inverts the
+cumulative D² distribution with one uniform draw, the same draw and the same
+pick that ``Generator.choice(n, p=...)`` makes, without its per-call checks.
+
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
 promise the implementation avoids order-dependent accumulation (centroid
@@ -22,6 +31,13 @@ MAX_CODEBOOK = 256
 # Training objectives must not increase between iterations; violations above
 # this relative slack indicate a real bug rather than float64 rounding.
 MONOTONE_RTOL = 1e-9
+
+# Distances per assignment tile: 2**16 float64 values (512 KB) per buffer.
+# Sizing by entries rather than rows keeps the two tile buffers in a core's
+# L2 cache for every codebook size. It also keeps each product of a large
+# batch above the size where OpenBLAS switches to small-matrix kernels, which
+# sum in another order.
+TILE_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -50,20 +66,41 @@ def _check_monotone(trace: list[float], context: str) -> None:
             )
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq=None) -> np.ndarray:
-    """All pairwise squared distances between rows of x and centroids."""
+def _assign_batch(x, centroids, x_sq=None):
+    """Nearest centroid per row of x and the squared distance to it.
+
+    The distance is ``(‖x‖² − 2 x·c) + ‖c‖²`` for the winning centroid,
+    summed in that order and clamped at 0; the products stay in their own
+    buffer for it. Ties go to the lowest centroid index.
+    """
+    x = np.ascontiguousarray(x)
     if x_sq is None:
         x_sq = np.einsum("ij,ij->i", x, x)
+    n, k = x.shape[0], centroids.shape[0]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _assign_batch(x, centroids, x_sq=None):
-    d2 = _sq_dists(x, centroids, x_sq)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(x.shape[0]), labels]
+    minus_2ct = -2.0 * centroids.T
+    rows = max(1, TILE_ENTRIES // k)
+    # The last tile takes the remainder, so a tile has fewer than ``rows``
+    # rows only when the whole batch does: a product of a few rows goes
+    # through other BLAS kernels, which round differently.
+    ends = list(range(rows, n - rows + 1, rows)) + [n]
+    prod = np.empty((min(n, 2 * rows - 1), k))
+    score = np.empty_like(prod)
+    labels = np.empty(n, dtype=np.intp)
+    best_prod = np.empty(n)
+    start = 0
+    for end in ends:
+        p, t = prod[: end - start], score[: end - start]
+        np.matmul(x[start:end], minus_2ct, out=p)
+        np.add(p, c_sq, out=t)
+        tile_labels = t.argmin(axis=1)
+        labels[start:end] = tile_labels
+        best_prod[start:end] = p[np.arange(end - start), tile_labels]
+        start = end
+    min_d2 = x_sq + best_prod
+    min_d2 += c_sq[labels]
+    np.maximum(min_d2, 0.0, out=min_d2)
+    return labels, min_d2
 
 
 def _centroid_means(x, labels, k):
@@ -110,6 +147,7 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     returned centroids are always the per-cluster means of the returned
     assignments; empty clusters keep their previous position.
     """
+    x = np.ascontiguousarray(x)
     x_sq = np.einsum("ij,ij->i", x, x)
     k = centroids.shape[0]
     centroids = centroids.copy()
@@ -145,18 +183,22 @@ def _kmeans_pp_init(x, k, rng):
     centroids[0] = x[first]
     if k == 1:
         return centroids
-    d2 = np.einsum("ij,ij->i", x - centroids[0], x - centroids[0])
+    diff = x - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    cand = np.empty_like(d2)
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            pick = int(rng.choice(n, p=d2 / total))
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             pick = int(rng.integers(n))
         centroids[i] = x[pick]
         if i + 1 < k:
-            cand = np.einsum("ij,ij->i", x - centroids[i], x - centroids[i])
-            np.minimum(d2, cand, out=cand)
-            d2 = cand
+            np.subtract(x, centroids[i], out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=cand)
+            np.minimum(d2, cand, out=d2)
     return centroids
 
 
@@ -173,7 +215,7 @@ def kmeans(points, k: int, max_iters: int = 25, seed: int = 0) -> KMeansResult:
     Raises:
         ValueError: on empty data, k < 1, k > N, or non-finite input.
     """
-    x = as_matrix(points, "points")
+    x = np.ascontiguousarray(as_matrix(points, "points"))
     if x.shape[0] == 0:
         raise ValueError("points is empty")
     if k < 1:

@@ -18,11 +18,14 @@ in row-major order:
     [mse]        M*K floats
 
 Blocks always have equal width; a header with unequal widths is rejected
-as corrupt. Arrays are float32 on disk, so reloaded models reproduce
-estimates at float32 precision.
+as corrupt, and so is any NaN or infinite float. Arrays are float32 on
+disk, so reloaded models reproduce estimates at float32 precision.
 """
 
 from __future__ import annotations
+
+import os
+import secrets
 
 import numpy as np
 
@@ -69,12 +72,19 @@ class _Reader:
     def floats(self, shape) -> np.ndarray:
         count = int(np.prod(shape))
         flat = np.frombuffer(self.take(4 * count), dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise ValueError("model file holds non-finite values (NaN or inf)")
         return flat.astype(np.float64).reshape(shape)
 
 
 def save_model(path, model, mse_table: MseTable | None = None) -> None:
     """Write an OPQModel or PairQModel, optionally with its error-mean
-    table, to ``path``."""
+    table, to ``path``.
+
+    The bytes go to a new file in the same directory, which then replaces
+    ``path`` in one step, so a failed write leaves any existing file as it
+    was.
+    """
     if isinstance(model, PairQModel):
         mode = MODE_SCALAR if model.mode == SCALAR else MODE_SQDIST
         n = model.transform.source_dim
@@ -112,8 +122,15 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
                 f"match codebook ({book.num_blocks}, {book.codebook_size})"
             )
         parts.append(_floats(mse_table.values))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_model(path):

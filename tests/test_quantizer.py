@@ -4,10 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairq.quantizer import (
+    TILE_ENTRIES,
     OPQModel,
     PQCodebook,
+    _assign_batch,
+    _kmeans_pp_init,
     _lloyd,
     apply_rotation,
     kmeans,
@@ -154,6 +159,126 @@ class TestAssign:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             assign(np.zeros(3), np.zeros((2, 4)))
+
+
+def exact_sq_dists(x, centroids):
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def assign_cases():
+    for k in (1, 2, 256):
+        tile = TILE_ENTRIES // k
+        for n in (0, 1, tile - 1, tile, tile + 1, 2 * tile + 3):
+            yield k, n
+
+
+class TestAssignBatch:
+    """The tiled kernel against a brute-force nearest-centroid search."""
+
+    @pytest.mark.parametrize("k,n", list(assign_cases()))
+    def test_matches_brute_force(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        # Duplicate points, centroids sitting on points, and (for k > 2) a
+        # centroid repeated at the last index.
+        pool = rng.standard_normal((max(1, n // 3), 3))
+        x = pool[rng.integers(len(pool), size=n)]
+        centroids = np.vstack([
+            pool[rng.integers(len(pool), size=(k + 1) // 2)],
+            rng.standard_normal((k // 2, 3)),
+        ])
+        if k > 2:
+            centroids[-1] = centroids[0]
+        labels, min_d2 = _assign_batch(x, centroids)
+        assert labels.shape == (n,) and min_d2.shape == (n,)
+        if n == 0:
+            return
+        d2 = exact_sq_dists(x, centroids)
+        rows = np.arange(n)
+        # Rounding of (x² − 2xc) + c² relative to the magnitudes involved.
+        tol = 1e-13 * (np.einsum("ij,ij->i", x, x) + (centroids ** 2).sum(1).max())
+        assert (min_d2 >= 0.0).all()
+        assert (np.abs(min_d2 - d2[rows, labels]) <= tol).all()
+        assert (d2[rows, labels] <= d2.min(axis=1) + tol).all()
+        # Copies of one centroid tie exactly: the lowest index must win.
+        _, first, inverse = np.unique(
+            centroids, axis=0, return_index=True, return_inverse=True
+        )
+        np.testing.assert_array_equal(first[inverse][labels], labels)
+        if len(first) > 1:
+            ranked = np.sort(d2[:, first], axis=1)
+            clear = ranked[:, 1] - ranked[:, 0] > 2 * tol
+            assert clear.mean() > 0.9
+            np.testing.assert_array_equal(labels[clear], d2.argmin(axis=1)[clear])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 700),
+        k=st.sampled_from([1, 2, 3, 64, 256]),
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_integer_grid(self, n, k, dim, seed):
+        # Small integers make every distance exact, so ties are real and
+        # must go to the lowest index, as in the brute-force argmin.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-4, 5, size=(n, dim)).astype(float)
+        centroids = rng.integers(-4, 5, size=(k, dim)).astype(float)
+        labels, min_d2 = _assign_batch(x, centroids)
+        d2 = exact_sq_dists(x, centroids)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(min_d2, d2.min(axis=1, initial=np.inf))
+
+
+def choice_seeding(x, k, rng):
+    """k-means++ seeding that draws each centroid with ``Generator.choice``."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[int(rng.integers(n))]
+    if k == 1:
+        return centroids
+    d2 = np.einsum("ij,ij->i", x - centroids[0], x - centroids[0])
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            pick = int(rng.choice(n, p=d2 / total))
+        else:
+            pick = int(rng.integers(n))
+        centroids[i] = x[pick]
+        if i + 1 < k:
+            cand = np.einsum("ij,ij->i", x - centroids[i], x - centroids[i])
+            np.minimum(d2, cand, out=cand)
+            d2 = cand
+    return centroids
+
+
+class TestSeedingStream:
+    """The seeding must draw exactly the centroids ``Generator.choice`` would,
+    so every seeded model stays the same."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("n,dim,k,data", [
+        (300, 8, 64, "normal"),
+        (50, 3, 7, "normal"),
+        (12, 2, 12, "normal"),      # k = n: the last draws see total == 0
+        (40, 3, 40, "grid"),        # duplicates: total == 0 before k draws
+        (25, 4, 6, "identical"),    # total == 0 from the first draw
+        (2000, 5, 256, "columns"),  # a column slice, as train_pq passes
+    ])
+    def test_matches_choice_draws(self, seed, n, dim, k, data):
+        rng = np.random.default_rng(seed + 10_000)
+        if data == "grid":
+            x = rng.integers(0, 3, size=(n, dim)).astype(float)
+        elif data == "identical":
+            x = np.tile(rng.standard_normal(dim), (n, 1))
+        elif data == "columns":
+            x = rng.standard_normal((n, 3 * dim))[:, dim : 2 * dim]
+        else:
+            x = rng.standard_normal((n, dim)) * np.linspace(1.0, 4.0, dim)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeans_pp_init(np.ascontiguousarray(x), k, ours)
+        want = choice_seeding(x, k, reference)
+        np.testing.assert_array_equal(got, want)
+        assert ours.random() == reference.random()
 
 
 class TestTrainPQ:

@@ -101,6 +101,33 @@ class TestRoundTrip:
             save_model(tmp_model, model, mse_table=MseTable(values=np.zeros((1, 1))))
 
 
+class TestAtomicSave:
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.pairq"
+        x, model = make_opq()
+        save_model(str(path), model)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="shape"):
+            save_model(str(path), model, mse_table=MseTable(values=np.zeros((1, 1))))
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pairq.serialize.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(str(path), model, mse_table=compute_mse_table(model, x))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pairq"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "model.pairq"
+        path.write_bytes(b"old")
+        _, model = make_opq()
+        save_model(path, model)
+        assert isinstance(load_model(path)[0], OPQModel)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pairq"]
+
+
 class TestCorruption:
     def test_bad_magic(self, tmp_model):
         _, model = make_opq()
@@ -137,6 +164,24 @@ class TestCorruption:
             fh.seek(offset)
             fh.write(np.asarray([0xFF], dtype="<i4").tobytes())
         with pytest.raises(ValueError, match="flag"):
+            load_model(tmp_model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("section", ["rotation", "centroids", "mse"])
+    def test_non_finite_float(self, tmp_model, section, bad):
+        x, model = make_opq()
+        save_model(tmp_model, model, mse_table=compute_mse_table(model, x))
+        d, num_blocks = model.dim, model.codebook.num_blocks
+        rotation_at = len(MAGIC) + 4 * (4 + num_blocks + 1)
+        offset = {
+            "rotation": rotation_at + 4 * 3,
+            "centroids": rotation_at + 4 * d * d + 4 * 5,
+            "mse": rotation_at + 4 * d * d + 4 * model.codebook.centroids.size + 4,
+        }[section]
+        with open(tmp_model, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(np.asarray([bad], dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
             load_model(tmp_model)
 
     def test_unknown_mode(self, tmp_model):
