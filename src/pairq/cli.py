@@ -42,7 +42,13 @@ from .experiment import (
     write_report_csv,
     write_report_json,
 )
-from .metrics import evaluate_method
+from .metrics import DEFAULT_PAIR_BUDGET, evaluate_method
+from .quantizer import (
+    DEFAULT_CODEBOOK_SIZE,
+    DEFAULT_KMEANS_ITERS,
+    DEFAULT_OUTER_ITERS,
+    MAX_CODEBOOK,
+)
 from .serialize import load_model, save_model
 from .transform import PairQModel
 
@@ -53,13 +59,12 @@ def _load_vectors(path, mode: str) -> np.ndarray:
 
 
 def _add_common_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-M", "--blocks", type=int, default=8,
-                   help="number of code blocks (bytes per vector)")
-    p.add_argument("-K", "--codebook-size", type=int, default=256,
-                   help="centroids per block (max 256)")
-    p.add_argument("--outer-iters", type=int, default=20,
+    p.add_argument("-K", "--codebook-size", type=int,
+                   default=DEFAULT_CODEBOOK_SIZE,
+                   help=f"centroids per block (max {MAX_CODEBOOK})")
+    p.add_argument("--outer-iters", type=int, default=DEFAULT_OUTER_ITERS,
                    help="rotation/codebook alternations")
-    p.add_argument("--kmeans-iters", type=int, default=25,
+    p.add_argument("--kmeans-iters", type=int, default=DEFAULT_KMEANS_ITERS,
                    help="Lloyd iterations per codebook fit")
     p.add_argument("--seed", type=int, default=0)
 
@@ -250,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mse", action="store_true",
                    help="store the per-codeword error means "
                         "(only with --method opq --mode sqdist)")
+    p.add_argument("-M", "--blocks", type=int, default=8,
+                   help="number of code blocks (bytes per vector)")
     _add_common_training_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=_cmd_train)
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-queries", required=True)
     p.add_argument("--mode", choices=TASKS, required=True)
     p.add_argument("--bias-correct", action="store_true")
-    p.add_argument("--max-pairs", type=int, default=10**7)
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write metrics JSON here instead of stdout")
     p.set_defaults(func=_cmd_eval)
@@ -278,11 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="opq,pairq",
                    help="comma list from: opq, opq-bc, pairq")
     p.add_argument("--blocks", default="8", help="comma list of block counts")
-    p.add_argument("-K", "--codebook-size", type=int, default=256)
-    p.add_argument("--outer-iters", type=int, default=20)
-    p.add_argument("--kmeans-iters", type=int, default=25)
-    p.add_argument("--max-pairs", type=int, default=10**7)
-    p.add_argument("--seed", type=int, default=0)
+    _add_common_training_flags(p)
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--database", help="fvecs file (omit when --synth-dim is set)")
     p.add_argument("--train-queries", help="fvecs file")
     p.add_argument("--eval-queries", help="fvecs file")

@@ -5,9 +5,9 @@ int32 dimension followed by that many little-endian float32 (or int32)
 values. All records in a file must share one dimension.
 
 Synthetic data draws zero-mean Gaussians with controlled anisotropy. The
-covariance spectrum is lambda_i = scale^2 * exp(-decay * i / (dim - 1))
-under a seeded random orthogonal basis, so the covariance condition number
-is exp(decay). Databases and queries get independent bases, which is what
+covariance spectrum is lambda_i = exp(-decay * i / (dim - 1)) under a
+seeded random orthogonal basis, so the covariance condition number is
+exp(decay). Databases and queries get independent bases, which is what
 makes the query-aware transforms differ from plain rotation learning.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, psd_sqrt
+from .linalg import as_matrix
 
 
 def _read_records(path, dtype: np.dtype) -> np.ndarray:
@@ -95,8 +95,7 @@ class SyntheticSpec:
     """Shape of a synthetic benchmark draw.
 
     ``database_decay`` and ``query_decay`` set the log condition number of
-    the respective covariances. Explicit covariance matrices override the
-    decay spectra when given and must be positive semidefinite.
+    the respective covariances.
     """
 
     dim: int
@@ -105,10 +104,6 @@ class SyntheticSpec:
     num_eval_queries: int
     database_decay: float = 0.0
     query_decay: float = 0.0
-    database_scale: float = 1.0
-    query_scale: float = 1.0
-    database_cov: np.ndarray | None = None
-    query_cov: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -124,19 +119,14 @@ def _orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _factor(spec_cov, dim, decay, scale, rng) -> np.ndarray:
-    """A matrix F with F F^T equal to the requested covariance."""
-    if spec_cov is not None:
-        cov = as_matrix(spec_cov, "covariance")
-        if cov.shape != (dim, dim):
-            raise ValueError(f"covariance shape {cov.shape}, expected ({dim}, {dim})")
-        return psd_sqrt(cov)
+def _factor(dim, decay, rng) -> np.ndarray:
+    """A matrix F with F F^T equal to the decay spectrum's covariance."""
     if dim == 1:
         lams = np.array([1.0])
     else:
         lams = np.exp(-decay * np.arange(dim) / (dim - 1))
     basis = _orthogonal(dim, rng)
-    return scale * (basis * np.sqrt(lams))
+    return basis * np.sqrt(lams)
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticData:
@@ -151,12 +141,8 @@ def gen_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticData:
         if getattr(spec, name) < 0:
             raise ValueError(f"{name} must be >= 0")
     rng = np.random.default_rng(seed)
-    db_factor = _factor(
-        spec.database_cov, spec.dim, spec.database_decay, spec.database_scale, rng
-    )
-    q_factor = _factor(
-        spec.query_cov, spec.dim, spec.query_decay, spec.query_scale, rng
-    )
+    db_factor = _factor(spec.dim, spec.database_decay, rng)
+    q_factor = _factor(spec.dim, spec.query_decay, rng)
     database = rng.standard_normal((spec.num_database, spec.dim)) @ db_factor.T
     train_q = rng.standard_normal((spec.num_train_queries, spec.dim)) @ q_factor.T
     eval_q = rng.standard_normal((spec.num_eval_queries, spec.dim)) @ q_factor.T

@@ -2,13 +2,17 @@
 
 A run covers one task (scalar products, cosine similarities via prior
 normalization, or squared distances), a list of methods, and a list of
-block counts. ``fit_method`` is the one place that turns (task, method)
-into a trained model, for the grid and the ``pairq train`` command alike.
-Per block count, ``opq`` and ``opq-bc`` share one OPQ model and its codes:
-``opq-bc`` adds only the error-mean table, so when it runs after ``opq``
-its ``train_encode`` timing covers just that table. Every ``pairq`` cell
-learns its own query transform. A cell that raises is recorded as failed
-without taking down the rest of the grid.
+block counts, neither of which may list an entry twice. ``fit_method`` is
+the one place that turns (task, method) into a trained model, for the grid
+and the ``pairq train`` command alike. Per block count, ``opq`` and
+``opq-bc`` share one OPQ model and its codes: ``opq-bc`` adds only the
+error-mean table, so when it runs after ``opq`` its ``train_encode`` timing
+covers just that table. Every ``pairq`` cell learns its own query
+transform. A cell that raises is recorded as failed without taking down the
+rest of the grid. Once a block count's cells are done, each of them gets
+its error reduction against that block count's ``opq`` cell, whatever the
+method order; the column stays empty when there is no ``opq`` cell or it
+failed.
 
 Reports write to CSV and JSON. The CSV holds only deterministic columns,
 so a rerun with the same config and seed produces byte-identical output;
@@ -18,11 +22,10 @@ wall-clock timings and environment details go to the JSON sidecar.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,8 +38,15 @@ from .datasets import (
 )
 from .estimator import BiasCorrected, compute_mse_table
 from .linalg import as_matrix
-from .metrics import SCALAR, SQDIST, EvalStats, evaluate_method
-from .quantizer import OPQModel, opq_encode, train_opq
+from .metrics import DEFAULT_PAIR_BUDGET, SCALAR, SQDIST, evaluate_method
+from .quantizer import (
+    DEFAULT_CODEBOOK_SIZE,
+    DEFAULT_KMEANS_ITERS,
+    DEFAULT_OUTER_ITERS,
+    OPQModel,
+    opq_encode,
+    train_opq,
+)
 from .transform import (
     PairQModel,
     learn_scalar_transform,
@@ -76,10 +86,10 @@ class ExperimentConfig:
     task: str = "scalar"
     methods: tuple[str, ...] = ("opq", "pairq")
     block_counts: tuple[int, ...] = (8,)
-    codebook_size: int = 256
-    outer_iters: int = 20
-    kmeans_iters: int = 25
-    max_pairs: int = 10**7
+    codebook_size: int = DEFAULT_CODEBOOK_SIZE
+    outer_iters: int = DEFAULT_OUTER_ITERS
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS
+    max_pairs: int = DEFAULT_PAIR_BUDGET
     seed: int = 0
     synthetic: SyntheticSpec | None = None
     database_path: str | None = None
@@ -134,6 +144,11 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError("bias correction only applies to the sqdist task")
     if not config.block_counts:
         raise ValueError("block_counts is empty")
+    for name in ("methods", "block_counts"):
+        values = getattr(config, name)
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{name} lists {v!r} twice")
     paths = (config.database_path, config.train_queries_path, config.eval_queries_path)
     if config.synthetic is not None:
         if any(p is not None for p in paths):
@@ -150,6 +165,11 @@ def task_kind(task: str) -> str:
     return SQDIST if task == "sqdist" else SCALAR
 
 
+def _task_error(cell: CellResult) -> float | None:
+    """The cell's error under its task: scalar MSE or relative error."""
+    return cell.rel_dist_error if cell.task == "sqdist" else cell.scalar_mse
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """L2-normalize every row, leaving zero rows as they are."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -163,8 +183,8 @@ def fit_method(
     train_queries: np.ndarray | None,
     num_blocks: int,
     codebook_size: int,
-    outer_iters: int = 20,
-    kmeans_iters: int = 25,
+    outer_iters: int = DEFAULT_OUTER_ITERS,
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
     seed: int = 0,
 ) -> OPQModel | PairQModel:
     """Train the ``opq`` or ``pairq`` model of a task.
@@ -227,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     for num_blocks in config.block_counts:
         # (model, codes) per trained family; opq and opq-bc share "opq".
         fitted: dict[str, tuple] = {}
-        opq_stats: EvalStats | None = None
+        block_cells: list[CellResult] = []
         for method in config.methods:
             cell = CellResult(
                 task=config.task,
@@ -266,18 +286,16 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 )
                 cell.mean_signed_error = stats.mean_signed_error
                 cell.excluded_pairs = stats.excluded_pairs
-                if method == "opq":
-                    opq_stats = stats
-                elif opq_stats is not None:
-                    base = (
-                        opq_stats.mse if kind == SCALAR else opq_stats.mean_rel_error
-                    )
-                    ours = stats.mse if kind == SCALAR else stats.mean_rel_error
-                    if base and ours is not None:
-                        cell.error_reduction_vs_opq_pct = 100.0 * (1.0 - ours / base)
             except Exception as exc:
                 cell.error = f"{type(exc).__name__}: {exc}"
-            cells.append(cell)
+            block_cells.append(cell)
+        base_cell = next((c for c in block_cells if c.method == "opq"), None)
+        base = None if base_cell is None else _task_error(base_cell)
+        for cell in block_cells:
+            ours = _task_error(cell)
+            if cell is not base_cell and base and ours is not None:
+                cell.error_reduction_vs_opq_pct = 100.0 * (1.0 - ours / base)
+        cells.extend(block_cells)
 
     return Report(
         config=config,
@@ -304,46 +322,14 @@ def write_report_csv(report: Report, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for cell in report.cells:
-            values = {
-                "task": cell.task,
-                "method": cell.method,
-                "num_blocks": cell.num_blocks,
-                "codebook_size": cell.codebook_size,
-                "bytes_per_vector": cell.bytes_per_vector,
-                "compression_ratio": cell.compression_ratio,
-                "num_pairs": cell.num_pairs,
-                "scalar_mse": cell.scalar_mse,
-                "rel_dist_error": cell.rel_dist_error,
-                "mean_signed_error": cell.mean_signed_error,
-                "excluded_pairs": cell.excluded_pairs,
-                "error_reduction_vs_opq_pct": cell.error_reduction_vs_opq_pct,
-                "error": cell.error,
-            }
-            writer.writerow([_format_cell_value(values[c]) for c in CSV_COLUMNS])
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+            writer.writerow(
+                [_format_cell_value(getattr(cell, c)) for c in CSV_COLUMNS]
+            )
 
 
 def write_report_json(report: Report, path) -> None:
     """Full report: config, cells with timings, environment."""
-    payload = {
-        "config": _jsonable(report.config),
-        "cells": [_jsonable(c) for c in report.cells],
-        "query_moment_condition": report.query_moment_condition,
-        "environment": report.environment,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True,
+                  default=lambda value: value.tolist())
         fh.write("\n")

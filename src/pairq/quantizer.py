@@ -28,6 +28,12 @@ from .linalg import as_matrix, procrustes
 # Largest codebook size representable in one byte per sub-index.
 MAX_CODEBOOK = 256
 
+# Training defaults of the library, the grid runner and the CLI: centroids
+# per block, rotation/codebook alternations and Lloyd passes per fit.
+DEFAULT_CODEBOOK_SIZE = MAX_CODEBOOK
+DEFAULT_OUTER_ITERS = 20
+DEFAULT_KMEANS_ITERS = 25
+
 # Training objectives must not increase between iterations; violations above
 # this relative slack indicate a real bug rather than float64 rounding.
 MONOTONE_RTOL = 1e-9
@@ -202,7 +208,9 @@ def _kmeans_pp_init(x, k, rng):
     return centroids
 
 
-def kmeans(points, k: int, max_iters: int = 25, seed: int = 0) -> KMeansResult:
+def kmeans(
+    points, k: int, max_iters: int = DEFAULT_KMEANS_ITERS, seed: int = 0
+) -> KMeansResult:
     """Lloyd k-means with k-means++ seeding.
 
     Args:
@@ -274,7 +282,7 @@ def train_pq(
     data,
     num_blocks: int,
     codebook_size: int,
-    kmeans_iters: int = 25,
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
     seed: int = 0,
 ) -> PQCodebook:
     """Fit one k-means codebook per contiguous coordinate block.
@@ -324,7 +332,11 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     """Nearest sub-centroid index per block.
 
     Accepts a single vector or a (N, dim) batch; returns (num_blocks,) or
-    (N, num_blocks) uint8 codes. Ties go to the lowest index.
+    (N, num_blocks) uint8 codes. Ties go to the lowest index. BLAS rounds
+    the products ``x·c`` differently by batch shape, so a row within
+    rounding of a tie between two centroids can get another code when it
+    is encoded alone or in another batch; training stays bit-identical per
+    seed.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -407,8 +419,8 @@ def train_opq(
     data,
     num_blocks: int,
     codebook_size: int,
-    outer_iters: int = 20,
-    kmeans_iters: int = 25,
+    outer_iters: int = DEFAULT_OUTER_ITERS,
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
     seed: int = 0,
     pad: bool = False,
 ) -> OPQModel:

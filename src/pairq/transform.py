@@ -20,12 +20,20 @@ that span and ignore directions no query ever probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix, as_vector, pseudo_inverse, psd_sqrt
-from .quantizer import OPQModel, opq_encode, pad_columns, pq_decode, train_opq
+from .quantizer import (
+    DEFAULT_KMEANS_ITERS,
+    DEFAULT_OUTER_ITERS,
+    OPQModel,
+    opq_encode,
+    pad_columns,
+    pq_decode,
+    train_opq,
+)
 
 SCALAR = "scalar"
 SQDIST = "sqdist"
@@ -53,32 +61,6 @@ class PairTransform:
         return self.matrix.shape[0]
 
 
-def _check_queries(queries) -> np.ndarray:
-    q = as_matrix(queries, "queries")
-    if q.shape[0] == 0:
-        raise ValueError("need at least one query")
-    return q
-
-
-def learn_scalar_transform(queries) -> PairTransform:
-    """Transform whose reconstruction error weights scalar products.
-
-    For any x and approximation x_hat,
-    ``mean_i (q_i . x - q_i . x_hat)^2 == ||C x - C x_hat||^2``
-    with C the returned matrix and the mean running over the query sample.
-    """
-    q = _check_queries(queries)
-    moment = (q.T @ q) / q.shape[0]
-    root = psd_sqrt(moment)
-    return PairTransform(
-        mode=SCALAR,
-        source_dim=q.shape[1],
-        matrix=root,
-        pinv=pseudo_inverse(root),
-        second_moment=moment,
-    )
-
-
 def lift_point(x) -> np.ndarray:
     """Append the squared norm: x -> (x, ||x||^2)."""
     v = as_vector(x, "x")
@@ -95,6 +77,34 @@ def _query_lift(q: np.ndarray) -> np.ndarray:
     return np.hstack([-2.0 * q, ones])
 
 
+def _learn_transform(queries, mode: str) -> PairTransform:
+    """PSD root and pseudo-inverse of the second moment of the queries,
+    lifted to (-2q, 1) first in sqdist mode."""
+    q = as_matrix(queries, "queries")
+    if q.shape[0] == 0:
+        raise ValueError("need at least one query")
+    g = _query_lift(q) if mode == SQDIST else q
+    moment = (g.T @ g) / g.shape[0]
+    root = psd_sqrt(moment)
+    return PairTransform(
+        mode=mode,
+        source_dim=q.shape[1],
+        matrix=root,
+        pinv=pseudo_inverse(root),
+        second_moment=moment,
+    )
+
+
+def learn_scalar_transform(queries) -> PairTransform:
+    """Transform whose reconstruction error weights scalar products.
+
+    For any x and approximation x_hat,
+    ``mean_i (q_i . x - q_i . x_hat)^2 == ||C x - C x_hat||^2``
+    with C the returned matrix and the mean running over the query sample.
+    """
+    return _learn_transform(queries, SCALAR)
+
+
 def learn_sqdist_transform(queries) -> PairTransform:
     """Transform whose reconstruction error weights squared distances.
 
@@ -102,17 +112,7 @@ def learn_sqdist_transform(queries) -> PairTransform:
     the transformed space scores errors of ||q||^2 + g . y, which equals
     ||q - x||^2 exactly when y is the lifting of x.
     """
-    q = _check_queries(queries)
-    g = _query_lift(q)
-    moment = (g.T @ g) / g.shape[0]
-    root = psd_sqrt(moment)
-    return PairTransform(
-        mode=SQDIST,
-        source_dim=q.shape[1],
-        matrix=root,
-        pinv=pseudo_inverse(root),
-        second_moment=moment,
-    )
+    return _learn_transform(queries, SQDIST)
 
 
 def transform_database(transform: PairTransform, data) -> np.ndarray:
@@ -146,8 +146,8 @@ def train_pairq(
     database,
     num_blocks: int,
     codebook_size: int,
-    outer_iters: int = 20,
-    kmeans_iters: int = 25,
+    outer_iters: int = DEFAULT_OUTER_ITERS,
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
     seed: int = 0,
 ) -> PairQModel:
     """Quantize the transformed database.
@@ -189,7 +189,7 @@ def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
             f"source dimension {model.transform.source_dim}"
         )
     if model.mode == SQDIST:
-        v = np.append(-2.0 * v, 1.0)
+        v = _query_lift(v[None, :])[0]
     r = model.transform.pinv.T @ v
     return pad_columns(r[None, :], model.opq.dim)[0]
 

@@ -132,28 +132,6 @@ class TestGenSynthetic:
         cond = second_moment_condition(data.train_queries)
         assert 25.0 < cond < 100.0
 
-    def test_scale_applies(self):
-        spec = SyntheticSpec(dim=4, num_database=50000, num_train_queries=0,
-                             num_eval_queries=0, database_scale=3.0)
-        data = gen_synthetic(spec, seed=2)
-        mean_sq = (data.database ** 2).mean()
-        assert abs(mean_sq - 9.0) < 0.3
-
-    def test_explicit_covariance(self):
-        cov = np.diag([4.0, 1.0, 0.25])
-        spec = SyntheticSpec(dim=3, num_database=40000, num_train_queries=0,
-                             num_eval_queries=0, database_cov=cov)
-        data = gen_synthetic(spec, seed=3)
-        sample = data.database.T @ data.database / 40000
-        np.testing.assert_allclose(np.diag(sample), [4.0, 1.0, 0.25], rtol=0.1)
-
-    def test_rejects_non_psd_covariance(self):
-        spec = SyntheticSpec(dim=2, num_database=10, num_train_queries=0,
-                             num_eval_queries=0,
-                             database_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            gen_synthetic(spec, seed=0)
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="dim"):
             gen_synthetic(SyntheticSpec(dim=0, num_database=1,
@@ -161,12 +139,6 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="num_database"):
             gen_synthetic(SyntheticSpec(dim=2, num_database=-1,
                                         num_train_queries=1, num_eval_queries=1))
-
-    def test_rejects_wrong_covariance_shape(self):
-        spec = SyntheticSpec(dim=3, num_database=5, num_train_queries=0,
-                             num_eval_queries=0, database_cov=np.eye(2))
-        with pytest.raises(ValueError, match="covariance shape"):
-            gen_synthetic(spec, seed=0)
 
 
 class TestSecondMomentCondition:

@@ -1,6 +1,8 @@
 """Tests for the benchmark runner, report files, and the CLI."""
 
 import csv
+import dataclasses
+import inspect
 import json
 import os
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from pairq import experiment
-from pairq.cli import main
+from pairq.cli import build_parser, main
 from pairq.datasets import (
     SyntheticSpec,
     gen_synthetic,
@@ -25,7 +27,10 @@ from pairq.experiment import (
     write_report_csv,
     write_report_json,
 )
+from pairq.metrics import DEFAULT_PAIR_BUDGET
+from pairq.quantizer import kmeans, train_opq, train_pq
 from pairq.serialize import save_model
+from pairq.transform import train_pairq
 
 
 def tiny_spec(**kw):
@@ -50,6 +55,16 @@ def tiny_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def cell_rows(report):
+    """Every cell's fields but its timings, keyed by (method, block count)."""
+    rows = {}
+    for cell in report.cells:
+        row = dataclasses.asdict(cell)
+        del row["timings"]
+        rows[(cell.method, cell.num_blocks)] = row
+    return rows
+
+
 class TestConfigValidation:
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="task"):
@@ -69,6 +84,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="not both"):
             run_experiment(tiny_config(database_path="x.fvecs"))
 
+    def test_rejects_duplicate_methods_and_block_counts(self):
+        with pytest.raises(ValueError, match="methods lists 'opq' twice"):
+            run_experiment(tiny_config(methods=("opq", "pairq", "opq")))
+        with pytest.raises(ValueError, match="block_counts lists 4 twice"):
+            run_experiment(tiny_config(block_counts=(2, 4, 4)))
+
 
 class TestRunExperiment:
     def test_scalar_grid(self):
@@ -83,6 +104,23 @@ class TestRunExperiment:
         pairq_cell = report.cell("pairq", 2)
         assert pairq_cell.error_reduction_vs_opq_pct is not None
         assert report.query_moment_condition > 2.0
+
+    @pytest.mark.parametrize("task, methods", [
+        ("scalar", ("pairq", "opq")),
+        ("sqdist", ("pairq", "opq-bc", "opq")),
+    ])
+    def test_baseline_does_not_depend_on_method_order(self, task, methods):
+        # Each block count's reductions come from its own opq cell, so a
+        # method listed before opq gets one too.
+        config = tiny_config(task=task, methods=methods, block_counts=(2, 4))
+        rows = cell_rows(run_experiment(config))
+        opq_first = ("opq",) + tuple(m for m in methods if m != "opq")
+        assert rows == cell_rows(run_experiment(
+            dataclasses.replace(config, methods=opq_first)
+        ))
+        for (method, _), row in rows.items():
+            filled = row["error_reduction_vs_opq_pct"] is not None
+            assert filled == (method != "opq")
 
     def test_sqdist_grid_with_bias_correction(self):
         report = run_experiment(
@@ -117,6 +155,22 @@ class TestRunExperiment:
         assert opq_cell.scalar_mse is not None
         assert pairq_cell.error is not None
         assert "query" in pairq_cell.error
+        assert opq_cell.error_reduction_vs_opq_pct is None
+        assert pairq_cell.error_reduction_vs_opq_pct is None
+
+    def test_no_reduction_without_a_working_opq_cell(self, monkeypatch):
+        report = run_experiment(tiny_config(methods=("pairq",)))
+        assert report.cell("pairq", 2).error_reduction_vs_opq_pct is None
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no opq model")
+
+        monkeypatch.setattr(experiment, "train_opq", broken)
+        report = run_experiment(tiny_config(methods=("pairq", "opq")))
+        assert "no opq model" in report.cell("opq", 2).error
+        pairq_cell = report.cell("pairq", 2)
+        assert pairq_cell.error is None
+        assert pairq_cell.error_reduction_vs_opq_pct is None
 
     def test_file_based_run(self, tmp_path):
         data = gen_synthetic(tiny_spec(), seed=3)
@@ -379,6 +433,57 @@ class TestCli:
         with open("r.json") as fh:
             payload = json.load(fh)
         assert payload["config"]["task"] == "sqdist"
+
+    def test_bench_fills_vs_opq_for_methods_before_opq(self, workdir, capsys):
+        code = run_cli("bench", "--task", "scalar", "--methods", "pairq,opq",
+                       "--blocks", "2", "-K", 4,
+                       "--outer-iters", 0, "--kmeans-iters", 5,
+                       "--synth-dim", 4, "--synth-database", 60,
+                       "--synth-train-queries", 40, "--synth-eval-queries", 4)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("pairq") and "vs-opq=" in lines[0]
+        assert lines[1].startswith("opq") and "vs-opq=" not in lines[1]
+
+    def test_bench_rejects_duplicates(self, workdir, capsys):
+        for flag, value in (("--methods", "opq,opq"), ("--blocks", "2,2")):
+            code = run_cli("bench", flag, value, "--synth-dim", 4)
+            assert code == 2
+            assert "twice" in capsys.readouterr().err
+
+    def test_defaults_match_the_grid_and_the_trainers(self):
+        parser = build_parser()
+        train = parser.parse_args(["train", "--mode", "scalar", "--method", "opq",
+                                   "--database", "d", "--out", "m"])
+        evaluate = parser.parse_args(["eval", "--model", "m", "--database", "d",
+                                      "--codes", "c", "--eval-queries", "q",
+                                      "--mode", "scalar"])
+        bench = parser.parse_args(["bench"])
+        config = ExperimentConfig()
+        assert bench.task == config.task
+        assert tuple(bench.methods.split(",")) == config.methods
+        assert tuple(int(b) for b in bench.blocks.split(",")) == config.block_counts
+        assert (train.blocks,) == config.block_counts
+        assert evaluate.max_pairs == bench.max_pairs == config.max_pairs
+        assert config.max_pairs == DEFAULT_PAIR_BUDGET
+        for args in (train, bench):
+            assert args.codebook_size == config.codebook_size
+            assert args.outer_iters == config.outer_iters
+            assert args.kmeans_iters == config.kmeans_iters
+        for args in (train, evaluate, bench):
+            assert args.seed == config.seed
+
+        def defaults(fn):
+            return {name: p.default for name, p in
+                    inspect.signature(fn).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+
+        iters = {"outer_iters": config.outer_iters,
+                 "kmeans_iters": config.kmeans_iters, "seed": config.seed}
+        for fn in (train_opq, train_pairq, fit_method):
+            assert iters.items() <= defaults(fn).items()
+        assert defaults(train_pq)["kmeans_iters"] == config.kmeans_iters
+        assert defaults(kmeans)["max_iters"] == config.kmeans_iters
 
     def test_bench_reports_cell_failures(self, workdir, capsys):
         code = run_cli("bench", "--task", "scalar", "--methods", "opq,pairq",
