@@ -16,6 +16,7 @@ normalization state, so pass the same --mode to train, encode and eval.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -159,15 +160,7 @@ def _cmd_eval(args) -> int:
         method, kind, queries, database, codes,
         max_pairs=args.max_pairs, seed=args.seed,
     )
-    payload = {
-        "kind": stats.kind,
-        "num_pairs": stats.num_pairs,
-        "mse": stats.mse,
-        "mean_signed_error": stats.mean_signed_error,
-        "mean_rel_error": stats.mean_rel_error,
-        "excluded_pairs": stats.excluded_pairs,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, as_vector
-from .quantizer import OPQModel, apply_rotation, pad_columns, pq_decode, pq_encode
+from .quantizer import (
+    OPQModel, apply_rotation, check_codes, pad_columns, pq_decode, pq_encode,
+)
 
 
 @dataclass(eq=False)
@@ -65,19 +67,14 @@ def adc_scan(lut, codes) -> np.ndarray:
 
     ``lut`` is a (num_blocks, K) table. A single (num_blocks,) code returns
     a float; a (N, num_blocks) batch returns a float64 vector. Blocks
-    accumulate in index order.
+    accumulate in index order. Codes go through ``check_codes``, so a wrong
+    block count, a non-integer dtype (bool included) or a code outside
+    [0, K) raises ValueError.
     """
     table = as_matrix(lut, "lut")
-    arr = np.asarray(codes)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != table.shape[0]:
-        raise ValueError(
-            f"codes have {arr.shape[1]} blocks, table has {table.shape[0]}"
-        )
-    if arr.size and (arr.min() < 0 or arr.max() >= table.shape[1]):
-        raise ValueError(f"code out of range for table width {table.shape[1]}")
+    codes = np.asarray(codes)
+    single = codes.ndim == 1
+    arr = check_codes(codes, *table.shape)
     out = np.zeros(arr.shape[0])
     for j in range(table.shape[0]):
         out += table[j, arr[:, j]]

@@ -144,6 +144,10 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError("bias correction only applies to the sqdist task")
     if not config.block_counts:
         raise ValueError("block_counts is empty")
+    if min(config.block_counts) < 1:
+        raise ValueError(
+            f"block counts must be >= 1, got {min(config.block_counts)}"
+        )
     for name in ("methods", "block_counts"):
         values = getattr(config, name)
         for i, v in enumerate(values):

@@ -89,13 +89,14 @@ class EvalStats:
 
 
 def _pair_indices(num_db: int, num_queries: int, max_pairs: int, seed: int):
-    """Per-query database row subsets under the pair budget.
+    """Per-query database row selections under the pair budget.
 
-    Returns None when every pair fits, else a generator of index arrays,
-    one per query, drawn without replacement from a seeded generator.
+    Yields one index per query: ``slice(None)`` (every row, as a view) when
+    every pair fits, else an array of ``max(1, max_pairs // num_queries)``
+    row numbers drawn without replacement from a seeded generator.
     """
     if num_queries * num_db <= max_pairs:
-        return None
+        return (slice(None) for _ in range(num_queries))
     per_query = max(1, max_pairs // num_queries)
     rng = np.random.default_rng(seed)
     return (rng.permutation(num_db)[:per_query] for _ in range(num_queries))
@@ -134,17 +135,9 @@ def evaluate_method(
     n_rel = 0
     n_excluded = 0
     n_pairs = 0
-    for i in range(queries.shape[0]):
-        q = queries[i]
-        if subsets is None:
-            rows = x
-            row_codes = codes
-        else:
-            idx = next(subsets)
-            rows = x[idx]
-            row_codes = codes[idx]
-        t = true_values(q, rows, kind)
-        e = estimate_batch(method, q, row_codes, kind)
+    for q, idx in zip(queries, subsets):
+        t = true_values(q, x[idx], kind)
+        e = estimate_batch(method, q, codes[idx], kind)
         d = e - t
         sum_sq += float(d @ d)
         sum_signed += float(d.sum())

@@ -59,9 +59,13 @@ class KMeansResult:
 
     centroids: np.ndarray
     assignments: np.ndarray
-    inertia: float
     trace: list[float] = field(default_factory=list)
     converged: bool = False
+
+    @property
+    def inertia(self) -> float:
+        """Objective of the returned assignments, the last ``trace`` entry."""
+        return self.trace[-1]
 
 
 def _check_monotone(trace: list[float], context: str) -> None:
@@ -175,7 +179,6 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     return KMeansResult(
         centroids=centroids,
         assignments=labels.astype(np.int64),
-        inertia=trace[-1],
         trace=trace,
         converged=converged,
     )
@@ -278,6 +281,17 @@ def pad_columns(data: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _fit_blocks(x, num_blocks, fit) -> PQCodebook:
+    """Codebook of ``fit(j, block_j)`` (a KMeansResult) over the
+    ``num_blocks`` equal column blocks of x, converged when every block is."""
+    sub = x.shape[1] // num_blocks
+    results = [fit(j, x[:, j * sub : (j + 1) * sub]) for j in range(num_blocks)]
+    return PQCodebook(
+        centroids=np.stack([r.centroids for r in results]),
+        converged=all(r.converged for r in results),
+    )
+
+
 def train_pq(
     data,
     num_blocks: int,
@@ -306,26 +320,10 @@ def train_pq(
         raise ValueError(
             f"dimension {x.shape[1]} not divisible by {num_blocks} blocks"
         )
-    sub = x.shape[1] // num_blocks
-    if sub == 0:
+    if x.shape[1] < num_blocks:
         raise ValueError(f"{num_blocks} blocks exceed dimension {x.shape[1]}")
-    results = [
-        kmeans(x[:, j * sub : (j + 1) * sub], codebook_size,
-               max_iters=kmeans_iters, seed=seed + j)
-        for j in range(num_blocks)
-    ]
-    return PQCodebook(
-        centroids=np.stack([r.centroids for r in results]),
-        converged=all(r.converged for r in results),
-    )
-
-
-def _check_codebook_input(codebook: PQCodebook, x: np.ndarray) -> None:
-    if x.shape[-1] != codebook.dim:
-        raise ValueError(
-            f"input dimension {x.shape[-1]} does not match codebook "
-            f"dimension {codebook.dim}"
-        )
+    return _fit_blocks(x, num_blocks, lambda j, block: kmeans(
+        block, codebook_size, max_iters=kmeans_iters, seed=seed + j))
 
 
 def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
@@ -343,7 +341,11 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     if single:
         arr = arr[None, :]
     arr = as_matrix(arr, "x")
-    _check_codebook_input(codebook, arr)
+    if arr.shape[1] != codebook.dim:
+        raise ValueError(
+            f"input dimension {arr.shape[1]} does not match codebook "
+            f"dimension {codebook.dim}"
+        )
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
     sub = codebook.centroids.shape[2]
     for j, block_centroids in enumerate(codebook.centroids):
@@ -352,28 +354,33 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     return codes[0] if single else codes
 
 
-def _check_codes(codebook: PQCodebook, codes: np.ndarray) -> np.ndarray:
-    arr = np.asarray(codes)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != codebook.num_blocks:
+def check_codes(
+    codes: np.ndarray, num_blocks: int, codebook_size: int
+) -> np.ndarray:
+    """Codes as a (N, num_blocks) integer array, a single code as one row.
+
+    Raises ValueError unless there are ``num_blocks`` columns, the dtype is
+    an integer type (bool is not) and every code is in
+    [0, codebook_size). The dtype is kept, so no copy is made.
+    """
+    arr = codes[None, :] if codes.ndim == 1 else codes
+    if arr.ndim != 2 or arr.shape[1] != num_blocks:
         raise ValueError(
-            f"codes must have {codebook.num_blocks} columns, got shape {codes.shape}"
+            f"codes must have {num_blocks} blocks (columns), got shape {codes.shape}"
         )
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"codes must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= codebook.codebook_size:
-        raise ValueError(
-            f"code out of range for codebook size {codebook.codebook_size}"
-        )
+    if arr.size and (arr.min() < 0 or arr.max() >= codebook_size):
+        raise ValueError(f"code out of range for codebook size {codebook_size}")
     return arr
 
 
 def pq_decode(codebook: PQCodebook, codes) -> np.ndarray:
     """Reconstruction by concatenating the selected sub-centroids."""
-    single = np.asarray(codes).ndim == 1
-    arr = _check_codes(codebook, codes)
+    codes = np.asarray(codes)
+    single = codes.ndim == 1
+    arr = check_codes(codes, codebook.num_blocks, codebook.codebook_size)
+    arr = arr.astype(np.int64, copy=False)
     blocks = np.arange(codebook.num_blocks)
     out = codebook.centroids[blocks, arr].reshape(arr.shape[0], codebook.dim)
     return out[0] if single else out
@@ -393,26 +400,27 @@ class OPQModel:
     codebook: PQCodebook
     input_dim: int
     trace: list[float] = field(default_factory=list)
-    converged: bool | None = False
 
     @property
     def dim(self) -> int:
         return self.codebook.dim
 
-
-def _prepare_input(dim_in: int, model_dim: int, data: np.ndarray) -> np.ndarray:
-    if data.shape[1] != dim_in:
-        raise ValueError(
-            f"input dimension {data.shape[1]} does not match model "
-            f"dimension {dim_in}"
-        )
-    return pad_columns(data, model_dim)
+    @property
+    def converged(self) -> bool | None:
+        """The codebook's flag: True when every block's last fit reached a
+        Lloyd fixed point, None on models loaded from disk."""
+        return self.codebook.converged
 
 
 def apply_rotation(model: OPQModel, data) -> np.ndarray:
     """Zero-pad to the model dimension and rotate."""
     x = as_matrix(data, "data")
-    return _prepare_input(model.input_dim, model.dim, x) @ model.rotation.T
+    if x.shape[1] != model.input_dim:
+        raise ValueError(
+            f"input dimension {x.shape[1]} does not match model "
+            f"dimension {model.input_dim}"
+        )
+    return pad_columns(x, model.dim) @ model.rotation.T
 
 
 def train_opq(
@@ -435,6 +443,8 @@ def train_opq(
     the next multiple.
     """
     x = as_matrix(data, "data")
+    if num_blocks < 1:
+        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
     if x.shape[1] % num_blocks != 0:
         if not pad:
             raise ValueError(
@@ -456,16 +466,9 @@ def train_opq(
                 x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
             )
         else:
-            sub = codebook.centroids.shape[2]
-            results = [
-                _lloyd(x_rot[:, j * sub : (j + 1) * sub], block_centroids,
-                       kmeans_iters, context="codebook refit")
-                for j, block_centroids in enumerate(codebook.centroids)
-            ]
-            codebook = PQCodebook(
-                centroids=np.stack([r.centroids for r in results]),
-                converged=all(r.converged for r in results),
-            )
+            previous = codebook.centroids
+            codebook = _fit_blocks(x_rot, num_blocks, lambda j, block: _lloyd(
+                block, previous[j], kmeans_iters, context="codebook refit"))
         x_hat = pq_decode(codebook, pq_encode(codebook, x_rot))
         diff = x_rot - x_hat
         trace.append(float(np.einsum("ij,ij->", diff, diff)))
@@ -477,7 +480,6 @@ def train_opq(
         codebook=codebook,
         input_dim=input_dim,
         trace=trace,
-        converged=codebook.converged,
     )
 
 

@@ -196,7 +196,6 @@ def load_model(path):
         codebook=book,
         input_dim=input_dim,
         trace=[],
-        converged=None,
     )
     if transform is not None:
         return PairQModel(transform=transform, opq=opq), mse

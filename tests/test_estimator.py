@@ -136,6 +136,11 @@ class TestAdcScan:
             adc_scan(table, np.array([[0, 4]]))
         with pytest.raises(ValueError, match="out of range"):
             adc_scan(table, np.array([[-1, 0]]))
+        # As masks, all-True codes would score [11, 22] here, not [22, 22].
+        table = np.array([[1.0, 2.0], [10.0, 20.0]])
+        for dtype in (bool, float):
+            with pytest.raises(ValueError, match="integers"):
+                adc_scan(table, np.ones((2, 2), dtype=dtype))
 
 
 class TestMseTable:

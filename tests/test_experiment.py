@@ -90,6 +90,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="block_counts lists 4 twice"):
             run_experiment(tiny_config(block_counts=(2, 4, 4)))
 
+    @pytest.mark.parametrize("block_counts", [(0,), (2, -2)])
+    def test_rejects_block_counts_below_one(self, block_counts):
+        with pytest.raises(ValueError, match="block counts must be >= 1"):
+            run_experiment(tiny_config(block_counts=block_counts))
+
 
 class TestRunExperiment:
     def test_scalar_grid(self):
@@ -450,6 +455,20 @@ class TestCli:
             code = run_cli("bench", flag, value, "--synth-dim", 4)
             assert code == 2
             assert "twice" in capsys.readouterr().err
+
+    def test_block_counts_below_one_exit_2(self, workdir, capsys):
+        run_cli("synth", "--dim", 4, "--database-size", 40,
+                "--train-queries", 10, "--eval-queries", 2, "--out-dir", "data")
+        capsys.readouterr()
+        code = run_cli("train", "--mode", "scalar", "--method", "opq",
+                       "--database", "data/database.fvecs", "-M", 0, "-K", 4,
+                       "--out", "m.pairq")
+        assert code == 2
+        assert "num_blocks must be >= 1" in capsys.readouterr().err
+        for value in ("0", "-2"):
+            code = run_cli("bench", f"--blocks={value}", "--synth-dim", 4)
+            assert code == 2
+            assert "block counts must be >= 1" in capsys.readouterr().err
 
     def test_defaults_match_the_grid_and_the_trainers(self):
         parser = build_parser()

@@ -381,6 +381,12 @@ def correlated_data(rng, n, d):
 
 
 class TestTrainOPQ:
+    @pytest.mark.parametrize("num_blocks", [0, -1])
+    def test_rejects_block_count_below_one(self, num_blocks):
+        x = np.random.default_rng(14).standard_normal((20, 4))
+        with pytest.raises(ValueError, match="num_blocks must be >= 1"):
+            train_opq(x, num_blocks, 4, pad=True)
+
     def test_zero_outer_iters_equals_plain_pq(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((100, 6))

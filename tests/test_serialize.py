@@ -1,11 +1,15 @@
 """Round-trip and corruption tests for the binary model format."""
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pairq.estimator import MseTable, compute_mse_table
+from pairq.estimator import BiasCorrected, MseTable, compute_mse_table
 from pairq.metrics import estimate_batch
 from pairq.quantizer import OPQModel, opq_encode, train_opq
 from pairq.serialize import MAGIC, load_model, save_model
@@ -99,6 +103,64 @@ class TestRoundTrip:
         _, model = make_opq()
         with pytest.raises(ValueError, match="shape"):
             save_model(tmp_model, model, mse_table=MseTable(values=np.zeros((1, 1))))
+
+
+class TestRoundTripProperty:
+    """save -> load -> save writes the same bytes, and the loaded model
+    scores like the one in memory up to float32 rounding, for every model
+    kind, block layout and optional section."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["opq", "scalar", "sqdist"]),
+        blocks=st.integers(1, 4),
+        width=st.integers(1, 3),
+        divisible=st.booleans(),
+        k=st.integers(1, 8),
+        with_mse=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_save_load_save(self, kind, blocks, width, divisible, k, with_mse, seed):
+        # The quantizer sees the raw dimension, plus one lifted column for
+        # sqdist; ``divisible`` says whether ``blocks`` divides it.
+        assume(divisible or blocks > 1)
+        quantizer_dim = blocks * width + (0 if divisible else 1)
+        dim = quantizer_dim - (1 if kind == "sqdist" else 0)
+        assume(dim >= 1)
+        rng = np.random.default_rng(seed)
+        db = rng.standard_normal((40, dim)) * rng.uniform(0.5, 2.0, dim)
+        queries = rng.standard_normal((30, dim))
+        opts = dict(outer_iters=1, kmeans_iters=4, seed=seed)
+        if kind == "opq":
+            model = train_opq(db, blocks, k, pad=True, **opts)
+            codes = opq_encode(model, db)
+        else:
+            learn = {"scalar": learn_scalar_transform,
+                     "sqdist": learn_sqdist_transform}[kind]
+            model = train_pairq(learn(queries), db, blocks, k, **opts)
+            codes = pairq_encode(model, db)
+        mse = MseTable(values=rng.random((blocks, k))) if with_mse else None
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            save_model(first, model, mse_table=mse)
+            loaded, loaded_mse = load_model(first)
+            save_model(second, loaded, mse_table=loaded_mse)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+
+        assert (loaded_mse is None) == (mse is None)
+        pairs = [(model, loaded, kind)] if kind != "opq" else [
+            (model, loaded, "scalar"), (model, loaded, "sqdist")]
+        if kind == "opq" and mse is not None:
+            pairs.append((BiasCorrected(opq=model, mse=mse),
+                          BiasCorrected(opq=loaded, mse=loaded_mse), "sqdist"))
+        for before_method, after_method, est_kind in pairs:
+            for q in queries[:2]:
+                before = estimate_batch(before_method, q, codes, est_kind)
+                after = estimate_batch(after_method, q, codes, est_kind)
+                scale = max(np.abs(before).max(), 1.0)
+                np.testing.assert_allclose(after, before, rtol=0, atol=1e-5 * scale)
 
 
 class TestAtomicSave:
