@@ -8,15 +8,22 @@ and the ``pairq train`` command alike. Per block count, ``opq`` and
 ``opq-bc`` share one OPQ model and its codes: ``opq-bc`` adds only the
 error-mean table, so when it runs after ``opq`` its ``train_encode`` timing
 covers just that table. Every ``pairq`` cell learns its own query
-transform. A cell that raises is recorded as failed without taking down the
-rest of the grid. Once a block count's cells are done, each of them gets
-its error reduction against that block count's ``opq`` cell, whatever the
-method order; the column stays empty when there is no ``opq`` cell or it
-failed.
+transform.
+
+Every cell is trained and encoded first. The grid's fitted cells are then
+scored together in one ``metrics.evaluate_methods`` pass, which computes
+each evaluation query's exact values once for all of them. A cell whose
+training or encoding raises is recorded as failed without taking down the
+rest of the grid; an exception inside the shared pass is recorded on every
+cell that pass was scoring. Each cell gets its error reduction against its
+block count's ``opq`` cell, whatever the method order; the column stays
+empty when there is no ``opq`` cell or it failed.
 
 Reports write to CSV and JSON. The CSV holds only deterministic columns,
 so a rerun with the same config and seed produces byte-identical output;
-wall-clock timings and environment details go to the JSON sidecar.
+wall-clock timings and environment details go to the JSON sidecar: each
+cell's ``train_encode`` time, and the shared pass's time once, as the
+report's ``timings["eval"]``.
 """
 
 from __future__ import annotations
@@ -38,11 +45,12 @@ from .datasets import (
 )
 from .estimator import BiasCorrected, compute_mse_table
 from .linalg import as_matrix
-from .metrics import DEFAULT_PAIR_BUDGET, SCALAR, SQDIST, evaluate_method
+from .metrics import DEFAULT_PAIR_BUDGET, SCALAR, SQDIST, evaluate_methods
 from .quantizer import (
     DEFAULT_CODEBOOK_SIZE,
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
+    MAX_CODEBOOK,
     OPQModel,
     opq_encode,
     train_opq,
@@ -124,6 +132,7 @@ class Report:
     cells: list[CellResult]
     query_moment_condition: float
     environment: dict[str, str]
+    timings: dict[str, float] = field(default_factory=dict)
 
     def cell(self, method: str, num_blocks: int) -> CellResult:
         for c in self.cells:
@@ -148,6 +157,17 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError(
             f"block counts must be >= 1, got {min(config.block_counts)}"
         )
+    if not 1 <= config.codebook_size <= MAX_CODEBOOK:
+        raise ValueError(
+            f"codebook_size must be in [1, {MAX_CODEBOOK}], "
+            f"got {config.codebook_size}"
+        )
+    if config.outer_iters < 0:
+        raise ValueError(f"outer_iters must be >= 0, got {config.outer_iters}")
+    if config.kmeans_iters < 1:
+        raise ValueError(f"kmeans_iters must be >= 1, got {config.kmeans_iters}")
+    if config.max_pairs < 1:
+        raise ValueError(f"max_pairs must be >= 1, got {config.max_pairs}")
     for name in ("methods", "block_counts"):
         values = getattr(config, name)
         for i, v in enumerate(values):
@@ -234,7 +254,8 @@ def _load_data(config: ExperimentConfig) -> SyntheticData:
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Train, encode and evaluate every grid cell of the config."""
+    """Train and encode every grid cell of the config, then score the
+    fitted cells in one evaluation pass."""
     _validate_config(config)
     data = _load_data(config)
     database = data.database
@@ -248,10 +269,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     dim = database.shape[1]
     cells: list[CellResult] = []
+    # (cell, scorer, codes) for every cell that trained and encoded.
+    fitted_cells: list[tuple[CellResult, object, np.ndarray]] = []
     for num_blocks in config.block_counts:
         # (model, codes) per trained family; opq and opq-bc share "opq".
         fitted: dict[str, tuple] = {}
-        block_cells: list[CellResult] = []
         for method in config.methods:
             cell = CellResult(
                 task=config.task,
@@ -261,6 +283,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 bytes_per_vector=num_blocks,
                 compression_ratio=(dim * 4) / num_blocks,
             )
+            cells.append(cell)
             try:
                 t0 = time.perf_counter()
                 family = "opq" if method == "opq-bc" else method
@@ -276,13 +299,25 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     scorer = BiasCorrected(
                         opq=scorer, mse=compute_mse_table(scorer, database)
                     )
-                t1 = time.perf_counter()
-                stats = evaluate_method(
-                    scorer, kind, eval_q, database, codes,
-                    max_pairs=config.max_pairs, seed=config.seed,
-                )
-                t2 = time.perf_counter()
-                cell.timings = {"train_encode": t1 - t0, "eval": t2 - t1}
+                cell.timings = {"train_encode": time.perf_counter() - t0}
+            except Exception as exc:
+                cell.error = f"{type(exc).__name__}: {exc}"
+            else:
+                fitted_cells.append((cell, scorer, codes))
+
+    t0 = time.perf_counter()
+    if fitted_cells:
+        try:
+            all_stats = evaluate_methods(
+                [(scorer, codes) for _, scorer, codes in fitted_cells],
+                kind, eval_q, database,
+                max_pairs=config.max_pairs, seed=config.seed,
+            )
+        except Exception as exc:
+            for cell, _, _ in fitted_cells:
+                cell.error = f"{type(exc).__name__}: {exc}"
+        else:
+            for (cell, _, _), stats in zip(fitted_cells, all_stats):
                 cell.num_pairs = stats.num_pairs
                 cell.scalar_mse = stats.mse if kind == SCALAR else None
                 cell.rel_dist_error = (
@@ -290,16 +325,16 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 )
                 cell.mean_signed_error = stats.mean_signed_error
                 cell.excluded_pairs = stats.excluded_pairs
-            except Exception as exc:
-                cell.error = f"{type(exc).__name__}: {exc}"
-            block_cells.append(cell)
+    eval_s = time.perf_counter() - t0
+
+    for num_blocks in config.block_counts:
+        block_cells = [c for c in cells if c.num_blocks == num_blocks]
         base_cell = next((c for c in block_cells if c.method == "opq"), None)
         base = None if base_cell is None else _task_error(base_cell)
         for cell in block_cells:
             ours = _task_error(cell)
             if cell is not base_cell and base and ours is not None:
                 cell.error_reduction_vs_opq_pct = 100.0 * (1.0 - ours / base)
-        cells.extend(block_cells)
 
     return Report(
         config=config,
@@ -309,6 +344,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
+        timings={"eval": eval_s},
     )
 
 

@@ -5,6 +5,12 @@ query: a rotated product quantizer, one bundled with its error-mean table,
 or a pair-transform model. Scoring goes through the lookup-table scan
 route so the metrics measure what a real scan would return.
 
+``evaluate_methods`` scores any number of methods in one pass over the
+evaluation queries: per query it draws the database rows once, computes
+their exact values once with ``true_values`` and then scans each method's
+codes. ``evaluate_method`` is its one-method case. Inputs are checked once,
+before any scoring.
+
 All pairs are evaluated when the query count times the database size stays
 under the pair budget; beyond it, each query gets a seeded random subset
 of database rows and the budget is split evenly across queries.
@@ -23,7 +29,7 @@ from .estimator import (
     build_lut_sqdist,
 )
 from .linalg import as_matrix
-from .quantizer import OPQModel
+from .quantizer import TILE_ENTRIES, OPQModel
 from .transform import SCALAR, SQDIST, PairQModel, pairq_query_vector
 
 DEFAULT_PAIR_BUDGET = 10**7
@@ -65,15 +71,34 @@ def estimate_batch(method, query, codes, kind: str) -> np.ndarray:
 
 
 def true_values(query, database, kind: str) -> np.ndarray:
-    """Exact scalar products or squared distances for one query."""
-    x = as_matrix(database, "database")
+    """Exact scalar products or squared distances for one query.
+
+    Squared distances are summed in tiles of ``TILE_ENTRIES // dim`` rows
+    through one reused difference buffer; each row's value is the one an
+    untiled ``einsum`` over C-ordered rows gives. A NaN or infinite database entry makes its
+    row's value non-finite, so the database is checked in full only when
+    some value is; finite inputs that overflow return ``inf``.
+    """
+    x = np.asarray(database, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"database must be 2-dimensional, got shape {x.shape}")
     q = np.asarray(query, dtype=np.float64)
     if kind == SCALAR:
-        return x @ q
-    if kind == SQDIST:
-        diff = x - q[None, :]
-        return np.einsum("ij,ij->i", diff, diff)
-    raise ValueError(f"unknown kind {kind!r}")
+        out = x @ q
+    elif kind == SQDIST:
+        n, dim = x.shape
+        out = np.empty(n)
+        rows = max(1, TILE_ENTRIES // max(dim, 1))
+        diff = np.empty((min(rows, n), dim))
+        for start in range(0, n, rows):
+            tile = diff[: min(rows, n - start)]
+            np.subtract(x[start : start + rows], q, out=tile)
+            np.einsum("ij,ij->i", tile, tile, out=out[start : start + rows])
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not np.isfinite(out).all():
+        as_matrix(x, "database")
+    return out
 
 
 @dataclass
@@ -102,6 +127,70 @@ def _pair_indices(num_db: int, num_queries: int, max_pairs: int, seed: int):
     return (rng.permutation(num_db)[:per_query] for _ in range(num_queries))
 
 
+def evaluate_methods(
+    scored,
+    kind: str,
+    eval_queries,
+    database,
+    max_pairs: int = DEFAULT_PAIR_BUDGET,
+    seed: int = 0,
+) -> list[EvalStats]:
+    """One pass over query/database pairs, scoring every method.
+
+    ``scored`` lists ``(method, codes)`` pairs, where ``codes`` is the
+    encoding of ``database`` rows under ``method``, in the same row order.
+    Every method is scored on the same pairs, and its stats are the ones
+    ``evaluate_method`` returns for it alone. Returns one ``EvalStats`` per
+    entry of ``scored``, in its order.
+    """
+    queries = as_matrix(eval_queries, "eval_queries")
+    x = as_matrix(database, "database")
+    scored = [(method, np.asarray(codes)) for method, codes in scored]
+    for _, codes in scored:
+        if codes.shape[0] != x.shape[0]:
+            raise ValueError(
+                f"codes rows {codes.shape[0]} do not match database rows "
+                f"{x.shape[0]}"
+            )
+    if queries.shape[0] == 0 or x.shape[0] == 0:
+        raise ValueError("need at least one query and one database vector")
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be >= 1")
+    subsets = _pair_indices(x.shape[0], queries.shape[0], max_pairs, seed)
+
+    # Per method: summed squared, signed and relative errors.
+    sums = [[0.0, 0.0, 0.0] for _ in scored]
+    n_rel = 0
+    n_excluded = 0
+    n_pairs = 0
+    for q, idx in zip(queries, subsets):
+        t = true_values(q, x[idx], kind)
+        n_pairs += t.size
+        if kind == SQDIST:
+            keep = t > REL_ERR_FLOOR
+            kept = int(keep.sum())
+            n_excluded += t.size - kept
+            n_rel += kept
+            t_kept = t[keep]
+        for (method, codes), acc in zip(scored, sums):
+            d = estimate_batch(method, q, codes[idx], kind) - t
+            acc[0] += float(d @ d)
+            acc[1] += float(d.sum())
+            if kind == SQDIST and kept:
+                acc[2] += float((np.abs(d[keep]) / t_kept).sum())
+    return [
+        EvalStats(
+            kind=kind,
+            num_pairs=n_pairs,
+            mse=sum_sq / n_pairs,
+            mean_signed_error=sum_signed / n_pairs,
+            mean_rel_error=(sum_rel / n_rel) if n_rel else None,
+            excluded_pairs=n_excluded,
+        )
+        for sum_sq, sum_signed, sum_rel in sums
+    ]
+
+
 def evaluate_method(
     method,
     kind: str,
@@ -111,51 +200,15 @@ def evaluate_method(
     max_pairs: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
 ) -> EvalStats:
-    """One pass over query/database pairs, accumulating every metric.
+    """``evaluate_methods`` for one method.
 
     ``codes`` must be the encoding of ``database`` rows under ``method``,
     in the same row order.
     """
-    queries = as_matrix(eval_queries, "eval_queries")
-    x = as_matrix(database, "database")
-    codes = np.asarray(codes)
-    if codes.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"codes rows {codes.shape[0]} do not match database rows {x.shape[0]}"
-        )
-    if queries.shape[0] == 0 or x.shape[0] == 0:
-        raise ValueError("need at least one query and one database vector")
-    if max_pairs < 1:
-        raise ValueError("max_pairs must be >= 1")
-    subsets = _pair_indices(x.shape[0], queries.shape[0], max_pairs, seed)
-
-    sum_sq = 0.0
-    sum_signed = 0.0
-    sum_rel = 0.0
-    n_rel = 0
-    n_excluded = 0
-    n_pairs = 0
-    for q, idx in zip(queries, subsets):
-        t = true_values(q, x[idx], kind)
-        e = estimate_batch(method, q, codes[idx], kind)
-        d = e - t
-        sum_sq += float(d @ d)
-        sum_signed += float(d.sum())
-        n_pairs += t.size
-        if kind == SQDIST:
-            keep = t > REL_ERR_FLOOR
-            n_excluded += int(t.size - keep.sum())
-            if keep.any():
-                sum_rel += float((np.abs(d[keep]) / t[keep]).sum())
-                n_rel += int(keep.sum())
-    return EvalStats(
-        kind=kind,
-        num_pairs=n_pairs,
-        mse=sum_sq / n_pairs,
-        mean_signed_error=sum_signed / n_pairs,
-        mean_rel_error=(sum_rel / n_rel) if n_rel else None,
-        excluded_pairs=n_excluded,
+    (stats,) = evaluate_methods(
+        [(method, codes)], kind, eval_queries, database, max_pairs, seed
     )
+    return stats
 
 
 def eval_scalar_mse(

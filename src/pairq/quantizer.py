@@ -470,11 +470,15 @@ def train_opq(
             codebook = _fit_blocks(x_rot, num_blocks, lambda j, block: _lloyd(
                 block, previous[j], kmeans_iters, context="codebook refit"))
         x_hat = pq_decode(codebook, pq_encode(codebook, x_rot))
-        diff = x_rot - x_hat
-        trace.append(float(np.einsum("ij,ij->", diff, diff)))
+        # x_rot takes the residual in place and x_hat goes once the rotation
+        # is solved, so a pass holds no (N, d) array of the one before it
+        # beyond the x_rot that its product replaces.
+        np.subtract(x_rot, x_hat, out=x_rot)
+        trace.append(float(np.einsum("ij,ij->", x_rot, x_rot)))
         _check_monotone(trace[-2:], "rotation/codebook alternation")
         if t < outer_iters:
             rotation = procrustes(x.T, x_hat.T)
+            del x_hat
     return OPQModel(
         rotation=rotation,
         codebook=codebook,

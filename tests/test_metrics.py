@@ -12,9 +12,18 @@ from pairq.metrics import (
     eval_relative_dist_error,
     eval_scalar_mse,
     evaluate_method,
+    evaluate_methods,
     true_values,
 )
-from pairq.quantizer import OPQModel, PQCodebook, opq_encode, pq_decode, train_opq
+from pairq import metrics
+from pairq.quantizer import (
+    TILE_ENTRIES,
+    OPQModel,
+    PQCodebook,
+    opq_encode,
+    pq_decode,
+    train_opq,
+)
 from pairq.transform import (
     learn_scalar_transform,
     learn_sqdist_transform,
@@ -100,6 +109,37 @@ class TestTrueValues:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             true_values(np.zeros(2), np.zeros((1, 2)), "cosine")
+
+    @pytest.mark.parametrize("dim", [1, 8, 128, 129])
+    def test_sqdist_tiles_match_one_einsum(self, dim):
+        tile = TILE_ENTRIES // dim
+        rng = np.random.default_rng(dim)
+        q = rng.standard_normal(dim)
+        for n in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+            x = rng.standard_normal((n, dim)) * rng.uniform(0.1, 50.0, dim)
+            diff = x - q
+            np.testing.assert_array_equal(
+                true_values(q, x, "sqdist"), np.einsum("ij,ij->i", diff, diff)
+            )
+
+    @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_database(self, kind, bad):
+        # A zero query still exposes the bad entry: inf * 0 is NaN.
+        x = np.ones((20, 4))
+        x[13, 2] = bad
+        for order in ("C", "F"):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="NaN or infinite"):
+                true_values(np.zeros(4), np.asarray(x, order=order), kind)
+
+    @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
+    def test_finite_overflow_returns_inf(self, kind):
+        x = np.array([[1e300, 1e300], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            out = true_values(np.array([1e300, 1e300]), x, kind)
+        expected = {"scalar": [np.inf, 3e300], "sqdist": [0.0, np.inf]}[kind]
+        np.testing.assert_array_equal(out, expected)
 
 
 def small_world(seed=0, n=200, dim=6):
@@ -274,6 +314,45 @@ class TestEvaluateMethod:
             evaluate_method(model, "scalar", queries[:0], db, codes)
         with pytest.raises(ValueError, match="max_pairs"):
             evaluate_method(model, "scalar", queries, db, codes, max_pairs=0)
+
+
+def every_method(kind, seed=0, n=150, dim=6):
+    """(queries, database, [(method, codes)]) for every method of a kind."""
+    rng, db, queries, model, codes = small_world(seed=seed, n=n, dim=dim)
+    learn = learn_sqdist_transform if kind == "sqdist" else learn_scalar_transform
+    pair = train_pairq(learn(rng.standard_normal((60, dim))), db, 3, 8,
+                       outer_iters=1, kmeans_iters=10, seed=0)
+    scored = [(model, codes), (pair, pairq_encode(pair, db))]
+    if kind == "sqdist":
+        bc = BiasCorrected(opq=model, mse=compute_mse_table(model, db))
+        scored.insert(1, (bc, codes))
+    return queries, db, scored
+
+
+class TestEvaluateMethods:
+    @pytest.mark.parametrize("max_pairs", [10**7, 300])
+    @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
+    def test_equals_separate_evaluations(self, kind, max_pairs):
+        queries, db, scored = every_method(kind)
+        together = evaluate_methods(scored, kind, queries, db,
+                                    max_pairs=max_pairs, seed=4)
+        alone = [evaluate_method(m, kind, queries, db, c,
+                                 max_pairs=max_pairs, seed=4)
+                 for m, c in scored]
+        assert together == alone
+        expected_pairs = len(queries) * min(len(db), max_pairs // len(queries))
+        assert all(s.num_pairs == expected_pairs for s in together)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_wrong_code_rows_raise_before_scoring(self, monkeypatch, bad):
+        queries, db, scored = every_method("sqdist")
+        scored[bad] = (scored[bad][0], scored[bad][1][:-1])
+        scans = []
+        monkeypatch.setattr(metrics, "estimate_batch",
+                            lambda *args: scans.append(args))
+        with pytest.raises(ValueError, match="codes rows"):
+            evaluate_methods(scored, "sqdist", queries, db)
+        assert scans == []
 
 
 class TestPublicWrappers:

@@ -1,6 +1,7 @@
 """Tests for k-means, product quantization, and the rotated variant."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,19 @@ class TestTrainOPQ:
         for j in range(3):
             np.testing.assert_array_equal(model.codebook.centroids[j],
                                           book.centroids[j])
+
+    def test_keeps_at_most_two_data_sized_arrays_alive(self):
+        # Beyond the input: the rotated data and its reconstruction, or the
+        # previous and the next rotated data while the product runs. The
+        # residual reuses the rotated data's buffer.
+        x = np.random.default_rng(18).standard_normal((20000, 32))
+        tracemalloc.start()
+        try:
+            train_opq(x, 4, 16, outer_iters=2, kmeans_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(16)

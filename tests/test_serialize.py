@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pairq.estimator import BiasCorrected, MseTable, compute_mse_table
 from pairq.metrics import estimate_batch
-from pairq.quantizer import OPQModel, opq_encode, train_opq
+from pairq.quantizer import OPQModel, PQCodebook, opq_encode, train_opq
 from pairq.serialize import MAGIC, load_model, save_model
 from pairq.transform import (
     PairQModel,
@@ -245,6 +245,29 @@ class TestCorruption:
             fh.write(np.asarray([bad], dtype="<f4").tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             load_model(tmp_model)
+
+    def test_non_orthogonal_rotation(self, tmp_model):
+        _, model = make_opq()
+        save_model(tmp_model, model)
+        rotation_at = len(MAGIC) + 4 * (4 + model.codebook.num_blocks + 1)
+        with open(tmp_model, "r+b") as fh:
+            fh.seek(rotation_at + 4 * 5)
+            entry = np.frombuffer(fh.read(4), dtype="<f4")[0]
+            fh.seek(rotation_at + 4 * 5)
+            fh.write(np.asarray([entry + 1e-3], dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match="not orthogonal"):
+            load_model(tmp_model)
+
+    def test_large_orthogonal_rotation_loads(self, tmp_model):
+        # A random orthogonal matrix at dimension 256, stored at float32,
+        # stays inside the orthogonality tolerance.
+        rng = np.random.default_rng(5)
+        rotation, _ = np.linalg.qr(rng.standard_normal((256, 256)))
+        book = PQCodebook(centroids=rng.standard_normal((8, 2, 32)))
+        model = OPQModel(rotation=rotation, codebook=book, input_dim=256)
+        save_model(tmp_model, model)
+        loaded, _ = load_model(tmp_model)
+        np.testing.assert_array_equal(loaded.rotation, f32(rotation))
 
     def test_unknown_mode(self, tmp_model):
         _, model = make_opq()
