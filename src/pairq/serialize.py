@@ -18,8 +18,9 @@ in row-major order:
     [mse]        M*K floats
 
 Blocks always have equal width; a header with unequal widths is rejected
-as corrupt, and so is any NaN or infinite float or a rotation that is not
-orthogonal to float32 precision. Arrays are float32 on disk, so reloaded
+as corrupt, and so is any NaN or infinite float, a rotation that is not
+orthogonal to float32 precision, or a transform whose stored pseudoinverse
+does not invert its matrix. Arrays are float32 on disk, so reloaded
 models reproduce estimates at float32 precision.
 """
 
@@ -50,6 +51,15 @@ KNOWN_FLAGS = FLAG_ROTATION | FLAG_TRANSFORM | FLAG_MSE
 # any dimension (Cauchy-Schwarz over unit columns); saved models up to
 # dimension 256 show at most 6.2e-8.
 ROTATION_ATOL = 1e-6
+
+# Largest Moore-Penrose residual a stored transform may show, relative to
+# the matrix it is measured against: ‖A·P·A − A‖ to ‖A‖ and ‖P·A·P − P‖ to
+# ‖P‖ (Frobenius). Float32 rounding of P moves A·P·A by about 2⁻²⁴·κ(A)
+# relative, and the learned roots have κ ≤ 10⁵ (psd_sqrt clamps eigenvalues
+# below 10⁻¹⁰ of the largest). Saved transforms of synthetic and Gaussian
+# query samples, full rank and rank deficient, show at most 1.8e-6; roots
+# whose spectra reach down to that clamp, at dimensions up to 256, 7.9e-4.
+PINV_RTOL = 1e-2
 
 
 def _ints(values) -> bytes:
@@ -82,6 +92,19 @@ class _Reader:
         if not np.isfinite(flat).all():
             raise ValueError("model file holds non-finite values (NaN or inf)")
         return flat.astype(np.float64).reshape(shape)
+
+
+def _check_pinv(matrix: np.ndarray, pinv: np.ndarray) -> None:
+    for name, residual, scale in (
+        ("A·P·A − A", matrix @ pinv @ matrix - matrix, matrix),
+        ("P·A·P − P", pinv @ matrix @ pinv - pinv, pinv),
+    ):
+        size, bound = np.linalg.norm(residual), PINV_RTOL * np.linalg.norm(scale)
+        if size > bound:
+            raise ValueError(
+                f"transform pinv is inconsistent with its matrix: ‖{name}‖ "
+                f"{size:.3g} exceeds {bound:.3g}"
+            )
 
 
 def save_model(path, model, mse_table: MseTable | None = None) -> None:
@@ -185,6 +208,7 @@ def load_model(path):
         m = int(reader.ints(1)[0])
         matrix = reader.floats((m, m))
         pinv = reader.floats((m, m))
+        _check_pinv(matrix, pinv)
         transform_mode = SCALAR if mode == MODE_SCALAR else SQDIST
         transform = PairTransform(
             mode=transform_mode,

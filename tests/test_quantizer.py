@@ -173,22 +173,28 @@ def assign_cases():
             yield k, n
 
 
+def assign_case_data(k, n):
+    """Points and centroids of one ``assign_cases`` pair: duplicate points,
+    centroids sitting on points, and (for k > 2) a centroid repeated at the
+    last index."""
+    rng = np.random.default_rng(1000 * k + n)
+    pool = rng.standard_normal((max(1, n // 3), 3))
+    x = pool[rng.integers(len(pool), size=n)]
+    centroids = np.vstack([
+        pool[rng.integers(len(pool), size=(k + 1) // 2)],
+        rng.standard_normal((k // 2, 3)),
+    ])
+    if k > 2:
+        centroids[-1] = centroids[0]
+    return x, centroids
+
+
 class TestAssignBatch:
     """The tiled kernel against a brute-force nearest-centroid search."""
 
     @pytest.mark.parametrize("k,n", list(assign_cases()))
     def test_matches_brute_force(self, k, n):
-        rng = np.random.default_rng(1000 * k + n)
-        # Duplicate points, centroids sitting on points, and (for k > 2) a
-        # centroid repeated at the last index.
-        pool = rng.standard_normal((max(1, n // 3), 3))
-        x = pool[rng.integers(len(pool), size=n)]
-        centroids = np.vstack([
-            pool[rng.integers(len(pool), size=(k + 1) // 2)],
-            rng.standard_normal((k // 2, 3)),
-        ])
-        if k > 2:
-            centroids[-1] = centroids[0]
+        x, centroids = assign_case_data(k, n)
         labels, min_d2 = _assign_batch(x, centroids)
         assert labels.shape == (n,) and min_d2.shape == (n,)
         if n == 0:
@@ -230,6 +236,40 @@ class TestAssignBatch:
         np.testing.assert_array_equal(min_d2, d2.min(axis=1, initial=np.inf))
 
 
+class TestEncodeMatchesLloyd:
+    """``pq_encode`` computes labels only; they must stay the labels that
+    Lloyd's assignment, which also computes distances, gives the same rows."""
+
+    @pytest.mark.parametrize("k,n", list(assign_cases()))
+    def test_labels_equal_assign_batch(self, k, n):
+        x, centroids = assign_case_data(k, n)
+        codes = pq_encode(PQCodebook(centroids=centroids[None]), x)
+        assert codes.shape == (n, 1)
+        np.testing.assert_array_equal(codes[:, 0], _assign_batch(x, centroids)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 700),
+        k=st.sampled_from([1, 2, 3, 64, 256]),
+        dim=st.integers(1, 4),
+        num_blocks=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_integer_grid(self, n, k, dim, num_blocks, seed):
+        # Exact distances make ties real: every block's codes must equal
+        # the kernel's labels and the brute-force first argmin.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-4, 5, size=(n, num_blocks * dim)).astype(float)
+        centroids = rng.integers(-4, 5, size=(num_blocks, k, dim)).astype(float)
+        codes = pq_encode(PQCodebook(centroids=centroids), x)
+        for j in range(num_blocks):
+            block = x[:, j * dim : (j + 1) * dim]
+            labels, _ = _assign_batch(block, centroids[j])
+            np.testing.assert_array_equal(codes[:, j], labels)
+            d2 = exact_sq_dists(block, centroids[j])
+            np.testing.assert_array_equal(codes[:, j], d2.argmin(axis=1))
+
+
 def choice_seeding(x, k, rng):
     """k-means++ seeding that draws each centroid with ``Generator.choice``."""
     n = x.shape[0]
@@ -264,6 +304,10 @@ class TestSeedingStream:
         (40, 3, 40, "grid"),        # duplicates: total == 0 before k draws
         (25, 4, 6, "identical"),    # total == 0 from the first draw
         (2000, 5, 256, "columns"),  # a column slice, as train_pq passes
+        (20000, 8, 256, "normal"),   # the train-scalar block shape
+        (10000, 17, 64, "columns"),  # a bench-sqdist block (129 columns padded to 136)
+        (3000, 4, 32, "offset"),     # a 1e6 common offset
+        (500, 1, 32, "normal"),      # one coordinate per block
     ])
     def test_matches_choice_draws(self, seed, n, dim, k, data):
         rng = np.random.default_rng(seed + 10_000)
@@ -273,6 +317,8 @@ class TestSeedingStream:
             x = np.tile(rng.standard_normal(dim), (n, 1))
         elif data == "columns":
             x = rng.standard_normal((n, 3 * dim))[:, dim : 2 * dim]
+        elif data == "offset":
+            x = rng.standard_normal((n, dim)) + 1e6
         else:
             x = rng.standard_normal((n, dim)) * np.linspace(1.0, 4.0, dim)
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)

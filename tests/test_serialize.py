@@ -10,11 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairq.estimator import BiasCorrected, MseTable, compute_mse_table
+from pairq.linalg import pseudo_inverse, psd_sqrt
 from pairq.metrics import estimate_batch
 from pairq.quantizer import OPQModel, PQCodebook, opq_encode, train_opq
 from pairq.serialize import MAGIC, load_model, save_model
 from pairq.transform import (
     PairQModel,
+    PairTransform,
     learn_scalar_transform,
     learn_sqdist_transform,
     pairq_encode,
@@ -269,6 +271,42 @@ class TestCorruption:
         loaded, _ = load_model(tmp_model)
         np.testing.assert_array_equal(loaded.rotation, f32(rotation))
 
+    @pytest.mark.parametrize("bad_pinv", ["scaled", "zero", "matrix"])
+    def test_inconsistent_pinv(self, tmp_model, bad_pinv):
+        rng = np.random.default_rng(6)
+        model = train_pairq(learn_sqdist_transform(rng.standard_normal((50, 5))),
+                            rng.standard_normal((100, 5)), 3, 4,
+                            outer_iters=1, kmeans_iters=5, seed=0)
+        t = model.transform
+        t.pinv = {"scaled": 1.05 * t.pinv, "zero": np.zeros_like(t.pinv),
+                  "matrix": t.matrix}[bad_pinv]
+        save_model(tmp_model, model)
+        with pytest.raises(ValueError, match="pinv is inconsistent"):
+            load_model(tmp_model)
+
+    def test_inconsistent_golden_pinv(self, tmp_path):
+        path = tmp_path / "golden.pairq"
+        path.write_bytes(golden_bytes(pinv=np.diag([0.5, 1.0, 1.0])))
+        with pytest.raises(ValueError, match="pinv is inconsistent"):
+            load_model(str(path))
+
+    def test_ill_conditioned_transform_loads(self, tmp_model):
+        # A root whose eigenvalues reach down to psd_sqrt's clamp (condition
+        # number 10⁵) at the lifted dimension of 128-dim sqdist data, and
+        # rank deficient: the float32 pinv stays inside the tolerance.
+        rng = np.random.default_rng(7)
+        basis, _ = np.linalg.qr(rng.standard_normal((129, 129)))
+        spectrum = np.concatenate([np.logspace(0, -10.0 + 1e-3, 109), np.zeros(20)])
+        moment = (basis * spectrum) @ basis.T
+        root = psd_sqrt(moment)
+        transform = PairTransform(mode="sqdist", source_dim=128, matrix=root,
+                                  pinv=pseudo_inverse(root), second_moment=moment)
+        model = train_pairq(transform, rng.standard_normal((64, 128)), 3, 4,
+                            outer_iters=0, kmeans_iters=2, seed=0)
+        save_model(tmp_model, model)
+        loaded, _ = load_model(tmp_model)
+        np.testing.assert_array_equal(loaded.transform.pinv, f32(transform.pinv))
+
     def test_unknown_mode(self, tmp_model):
         _, model = make_opq()
         save_model(tmp_model, model)
@@ -289,7 +327,7 @@ GOLDEN_PINV = np.diag([0.5, 1.0, 2.0])
 GOLDEN_MSE = 0.25 * np.arange(6.0).reshape(2, 3)
 
 
-def golden_bytes(widths=(2, 2)):
+def golden_bytes(widths=(2, 2), pinv=GOLDEN_PINV):
     def floats(arr):
         return struct.pack(f"<{arr.size}f", *arr.ravel())
 
@@ -302,7 +340,7 @@ def golden_bytes(widths=(2, 2)):
         floats(GOLDEN_CENTROIDS),
         struct.pack("<i", 3),
         floats(GOLDEN_MATRIX),
-        floats(GOLDEN_PINV),
+        floats(pinv),
         floats(GOLDEN_MSE),
     ])
 
