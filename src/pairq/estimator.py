@@ -17,7 +17,8 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector
 from .quantizer import (
-    OPQModel, apply_rotation, check_codes, pad_columns, pq_decode, pq_encode,
+    OPQModel, PQCodebook, apply_rotation, check_codes, pad_columns, pq_decode,
+    pq_encode,
 )
 
 
@@ -32,6 +33,15 @@ class MseTable:
     """
 
     values: np.ndarray
+
+
+def check_mse_table(mse: MseTable, codebook: PQCodebook) -> None:
+    """Raise ValueError unless the table has the codebook's (M, K) shape."""
+    if mse.values.shape != (codebook.num_blocks, codebook.codebook_size):
+        raise ValueError(
+            f"error-mean table shape {mse.values.shape} does not match "
+            f"codebook ({codebook.num_blocks}, {codebook.codebook_size})"
+        )
 
 
 def _rotated_query(model: OPQModel, q) -> np.ndarray:

@@ -50,8 +50,8 @@ from .quantizer import (
     DEFAULT_CODEBOOK_SIZE,
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
-    MAX_CODEBOOK,
     OPQModel,
+    check_training,
     opq_encode,
     train_opq,
 )
@@ -153,19 +153,9 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError("bias correction only applies to the sqdist task")
     if not config.block_counts:
         raise ValueError("block_counts is empty")
-    if min(config.block_counts) < 1:
-        raise ValueError(
-            f"block counts must be >= 1, got {min(config.block_counts)}"
-        )
-    if not 1 <= config.codebook_size <= MAX_CODEBOOK:
-        raise ValueError(
-            f"codebook_size must be in [1, {MAX_CODEBOOK}], "
-            f"got {config.codebook_size}"
-        )
-    if config.outer_iters < 0:
-        raise ValueError(f"outer_iters must be >= 0, got {config.outer_iters}")
-    if config.kmeans_iters < 1:
-        raise ValueError(f"kmeans_iters must be >= 1, got {config.kmeans_iters}")
+    for num_blocks in config.block_counts:
+        check_training(num_blocks, config.codebook_size, config.outer_iters,
+                       config.kmeans_iters)
     if config.max_pairs < 1:
         raise ValueError(f"max_pairs must be >= 1, got {config.max_pairs}")
     for name in ("methods", "block_counts"):

@@ -27,6 +27,7 @@ from .estimator import (
     adc_scan,
     build_lut_scalar,
     build_lut_sqdist,
+    check_mse_table,
 )
 from .linalg import as_matrix
 from .quantizer import TILE_ENTRIES, OPQModel
@@ -61,6 +62,7 @@ def estimate_batch(method, query, codes, kind: str) -> np.ndarray:
     elif isinstance(method, BiasCorrected):
         if kind != SQDIST:
             raise ValueError("bias correction applies to squared distances only")
+        check_mse_table(method.mse, method.opq.codebook)
         table = build_lut_sqdist(method.opq, query) + method.mse.values
     elif isinstance(method, OPQModel):
         build = build_lut_scalar if kind == SCALAR else build_lut_sqdist

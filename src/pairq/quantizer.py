@@ -293,6 +293,24 @@ class PQCodebook:
         return self.centroids.shape[0] * self.centroids.shape[2]
 
 
+def check_training(
+    num_blocks: int, codebook_size: int, outer_iters: int = 0, kmeans_iters: int = 1
+) -> None:
+    """Raise ValueError unless num_blocks >= 1, 1 <= codebook_size <=
+    MAX_CODEBOOK (one byte per code), outer_iters >= 0 and kmeans_iters >= 1.
+    """
+    if num_blocks < 1:
+        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+    if not 1 <= codebook_size <= MAX_CODEBOOK:
+        raise ValueError(
+            f"codebook_size must be in [1, {MAX_CODEBOOK}], got {codebook_size}"
+        )
+    if outer_iters < 0:
+        raise ValueError(f"outer_iters must be >= 0, got {outer_iters}")
+    if kmeans_iters < 1:
+        raise ValueError(f"kmeans_iters must be >= 1, got {kmeans_iters}")
+
+
 def padded_dim(dim: int, num_blocks: int) -> int:
     """Smallest multiple of num_blocks that is >= dim."""
     return ((dim + num_blocks - 1) // num_blocks) * num_blocks
@@ -334,16 +352,7 @@ def train_pq(
     ``kmeans(data, codebook_size, ..., seed)`` exactly.
     """
     x = as_matrix(data, "data")
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    if codebook_size < 1 or codebook_size > MAX_CODEBOOK:
-        raise ValueError(
-            f"codebook_size must be in [1, {MAX_CODEBOOK}], got {codebook_size}"
-        )
-    if codebook_size > x.shape[0]:
-        raise ValueError(
-            f"codebook_size={codebook_size} exceeds point count {x.shape[0]}"
-        )
+    check_training(num_blocks, codebook_size, kmeans_iters=kmeans_iters)
     if x.shape[1] % num_blocks != 0:
         raise ValueError(
             f"dimension {x.shape[1]} not divisible by {num_blocks} blocks"
@@ -358,7 +367,8 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     """Nearest sub-centroid index per block.
 
     Accepts a single vector or a (N, dim) batch; returns (num_blocks,) or
-    (N, num_blocks) uint8 codes. Ties go to the lowest index. BLAS rounds
+    (N, num_blocks) uint8 codes; a codebook that ``check_training`` rejects
+    raises ValueError. Ties go to the lowest index. BLAS rounds
     the products ``x·c`` differently by batch shape, so a row within
     rounding of a tie between two centroids can get another code when it
     is encoded alone or in another batch; training stays bit-identical per
@@ -369,6 +379,7 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     if single:
         arr = arr[None, :]
     arr = as_matrix(arr, "x")
+    check_training(codebook.num_blocks, codebook.codebook_size)
     if arr.shape[1] != codebook.dim:
         raise ValueError(
             f"input dimension {arr.shape[1]} does not match codebook "
@@ -473,16 +484,12 @@ def train_opq(
     the next multiple.
     """
     x = as_matrix(data, "data")
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    if x.shape[1] % num_blocks != 0:
-        if not pad:
-            raise ValueError(
-                f"dimension {x.shape[1]} not divisible by {num_blocks} blocks; "
-                "pass pad=True to zero-pad"
-            )
-    if outer_iters < 0:
-        raise ValueError("outer_iters must be >= 0")
+    check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
+    if x.shape[1] % num_blocks != 0 and not pad:
+        raise ValueError(
+            f"dimension {x.shape[1]} not divisible by {num_blocks} blocks; "
+            "pass pad=True to zero-pad"
+        )
     input_dim = x.shape[1]
     x = pad_columns(x, padded_dim(input_dim, num_blocks))
     rotation = np.eye(x.shape[1])

@@ -10,18 +10,19 @@ in row-major order:
     M       number of blocks
     K       codebook size
     widths  M int32 block widths, all equal to s
-    flags   bit 0 rotation present, bit 1 transform present,
-            bit 2 error-mean table present
-    [rotation]   d*d floats, d = M*s
+    flags   bit 0 rotation present (always set), bit 1 transform present
+            (set exactly in modes 1 and 2), bit 2 error-mean table present
+    rotation     d*d floats, d = M*s = n + (1 in mode 2) padded to M blocks
     centroids    M*K*s floats: the (M, K, s) codebook, block-major
-    [transform]  m int32, then m*m floats (matrix), m*m floats (pinv)
+    [transform]  m int32 (n in mode 1, n + 1 in mode 2), then m*m floats
+                 (matrix), m*m floats (pinv)
     [mse]        M*K floats
 
-Blocks always have equal width; a header with unequal widths is rejected
-as corrupt, and so is any NaN or infinite float, a rotation that is not
-orthogonal to float32 precision, or a transform whose stored pseudoinverse
-does not invert its matrix. Arrays are float32 on disk, so reloaded
-models reproduce estimates at float32 precision.
+A file that breaks a rule above is rejected as corrupt (M and K go through
+``quantizer.check_training``), and so is any NaN or infinite float, a
+rotation that is not orthogonal to float32 precision, or a transform whose
+stored pseudoinverse does not invert its matrix. Arrays are float32 on
+disk, so reloaded models reproduce estimates at float32 precision.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import secrets
 
 import numpy as np
 
-from .estimator import MseTable
-from .quantizer import OPQModel, PQCodebook
+from .estimator import MseTable, check_mse_table
+from .quantizer import OPQModel, PQCodebook, check_training, padded_dim
 from .transform import SCALAR, SQDIST, PairQModel, PairTransform
 
 MAGIC = b"PAIRQ1"
@@ -44,7 +45,6 @@ MODE_SQDIST = 2
 FLAG_ROTATION = 1
 FLAG_TRANSFORM = 2
 FLAG_MSE = 4
-KNOWN_FLAGS = FLAG_ROTATION | FLAG_TRANSFORM | FLAG_MSE
 
 # Largest |RᵀR − I| entry a stored rotation may show. Rounding an orthogonal
 # R to float32 moves each entry of RᵀR by at most about 2·2⁻²⁴ ≈ 1.2e-7 at
@@ -146,11 +146,7 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
         parts.append(_floats(transform.matrix))
         parts.append(_floats(transform.pinv))
     if mse_table is not None:
-        if mse_table.values.shape != (book.num_blocks, book.codebook_size):
-            raise ValueError(
-                f"error-mean table shape {mse_table.values.shape} does not "
-                f"match codebook ({book.num_blocks}, {book.codebook_size})"
-            )
+        check_mse_table(mse_table, book)
         parts.append(_floats(mse_table.values))
     tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
     fh = open(tmp, "xb")
@@ -178,20 +174,29 @@ def load_model(path):
     mode, n, num_blocks, codebook_size = (int(v) for v in reader.ints(4))
     if mode not in (MODE_OPQ, MODE_SCALAR, MODE_SQDIST):
         raise ValueError(f"unknown mode {mode}")
-    if num_blocks < 1 or codebook_size < 1:
-        raise ValueError("corrupt header: non-positive block count or codebook size")
+    try:
+        check_training(num_blocks, codebook_size)
+    except ValueError as exc:
+        raise ValueError(f"corrupt header: {exc}") from None
     widths = reader.ints(num_blocks)
     if widths.min() < 1:
         raise ValueError("corrupt header: non-positive block width")
     if (widths != widths[0]).any():
         raise ValueError("corrupt header: unequal block widths")
     sub = int(widths[0])
-    flags = int(reader.ints(1)[0])
-    if flags & ~KNOWN_FLAGS:
-        raise ValueError(f"unknown flag bits in {flags:#x}")
-    if not flags & FLAG_ROTATION:
-        raise ValueError("model file lacks a rotation section")
+    # The quantizer sees the raw vectors, lifted by one column in sqdist
+    # mode, zero-padded to a multiple of the block count.
+    input_dim = n + 1 if mode == MODE_SQDIST else n
     d = num_blocks * sub
+    if d != padded_dim(input_dim, num_blocks):
+        raise ValueError(
+            f"corrupt header: quantizer dimension {d} is not input dimension "
+            f"{input_dim} padded to {num_blocks} blocks"
+        )
+    flags = int(reader.ints(1)[0])
+    expected = FLAG_ROTATION | (FLAG_TRANSFORM if mode != MODE_OPQ else 0)
+    if flags & ~FLAG_MSE != expected:
+        raise ValueError(f"corrupt header: flags {flags:#x} do not fit mode {mode}")
     rotation = reader.floats((d, d))
     deviation = np.abs(rotation.T @ rotation - np.eye(d)).max()
     if deviation > ROTATION_ATOL:
@@ -204,22 +209,22 @@ def load_model(path):
     )
 
     transform = None
-    if flags & FLAG_TRANSFORM:
+    if mode != MODE_OPQ:
         m = int(reader.ints(1)[0])
+        if m != input_dim:
+            raise ValueError(
+                f"corrupt transform: dimension {m}, expected {input_dim} for "
+                f"{n} raw dimensions in mode {mode}"
+            )
         matrix = reader.floats((m, m))
         pinv = reader.floats((m, m))
         _check_pinv(matrix, pinv)
-        transform_mode = SCALAR if mode == MODE_SCALAR else SQDIST
         transform = PairTransform(
-            mode=transform_mode,
+            mode=SCALAR if mode == MODE_SCALAR else SQDIST,
             source_dim=n,
             matrix=matrix,
             pinv=pinv,
-            # The second moment is not stored; the root determines it.
-            second_moment=matrix.T @ matrix,
         )
-    elif mode != MODE_OPQ:
-        raise ValueError("transform mode set but transform section missing")
 
     mse = None
     if flags & FLAG_MSE:
@@ -227,7 +232,6 @@ def load_model(path):
     if reader.pos != len(reader.data):
         raise ValueError("trailing bytes after model payload")
 
-    input_dim = transform.dim if transform is not None else n
     opq = OPQModel(
         rotation=rotation,
         codebook=book,

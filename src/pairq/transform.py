@@ -54,11 +54,16 @@ class PairTransform:
     source_dim: int
     matrix: np.ndarray
     pinv: np.ndarray
-    second_moment: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def second_moment(self) -> np.ndarray:
+        """``matrix.T @ matrix``: the query second moment, less the
+        eigenvalues that ``psd_sqrt`` clamps to zero."""
+        return self.matrix.T @ self.matrix
 
 
 def lift_point(x) -> np.ndarray:
@@ -84,14 +89,12 @@ def _learn_transform(queries, mode: str) -> PairTransform:
     if q.shape[0] == 0:
         raise ValueError("need at least one query")
     g = _query_lift(q) if mode == SQDIST else q
-    moment = (g.T @ g) / g.shape[0]
-    root = psd_sqrt(moment)
+    root = psd_sqrt((g.T @ g) / g.shape[0])
     return PairTransform(
         mode=mode,
         source_dim=q.shape[1],
         matrix=root,
         pinv=pseudo_inverse(root),
-        second_moment=moment,
     )
 
 

@@ -92,7 +92,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("block_counts", [(0,), (2, -2)])
     def test_rejects_block_counts_below_one(self, block_counts):
-        with pytest.raises(ValueError, match="block counts must be >= 1"):
+        with pytest.raises(ValueError, match="num_blocks must be >= 1"):
             run_experiment(tiny_config(block_counts=block_counts))
 
     @pytest.mark.parametrize("field, value, message", [
@@ -552,7 +552,7 @@ class TestCli:
         for value in ("0", "-2"):
             code = run_cli("bench", f"--blocks={value}", "--synth-dim", 4)
             assert code == 2
-            assert "block counts must be >= 1" in capsys.readouterr().err
+            assert "num_blocks must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-pairs", "0", "max_pairs must be >= 1"),

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairq.estimator import BiasCorrected, build_lut_sqdist, compute_mse_table
+from pairq.estimator import (
+    BiasCorrected, MseTable, build_lut_sqdist, compute_mse_table,
+)
 from pairq.metrics import (
     estimate_batch,
     eval_bias,
@@ -163,6 +165,15 @@ class TestEstimateBatch:
             for i in range(len(codes))
         ])
         np.testing.assert_allclose(corrected, manual, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8,), (3, 1)])
+    def test_bias_corrected_rejects_misshaped_table(self, shape):
+        # Each of these broadcasts against the (3, 8) table: the first two
+        # would add one row of error means to every block.
+        rng, db, queries, model, codes = small_world()
+        bc = BiasCorrected(opq=model, mse=MseTable(values=np.ones(shape)))
+        with pytest.raises(ValueError, match="error-mean table shape"):
+            estimate_batch(bc, queries[0], codes, "sqdist")
 
     def test_bias_corrected_rejects_scalar(self):
         rng, db, queries, model, codes = small_world()
@@ -398,7 +409,6 @@ class TestPublicWrappers:
 
         transform = PairTransform(
             mode="sqdist", source_dim=1, matrix=np.eye(2), pinv=np.eye(2),
-            second_moment=np.eye(2),
         )
         book = PQCodebook(centroids=np.array([[[0.0, -5.0]]]))
         opq = OPQModel(rotation=np.eye(2), codebook=book, input_dim=2)

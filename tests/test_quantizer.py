@@ -417,6 +417,15 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="integers"):
             pq_decode(self.book, np.zeros(4))
 
+    def test_rejects_codebook_beyond_one_byte(self):
+        # Centroid 256 is the nearest to 290; as a uint8 code it would wrap
+        # to 0, so a codebook of 257 centroids cannot be encoded at all.
+        book = PQCodebook(centroids=np.arange(257.0).reshape(1, 257, 1))
+        with pytest.raises(ValueError, match=r"codebook_size must be in \[1, 256\]"):
+            pq_encode(book, np.array([[290.0]]))
+        full = PQCodebook(centroids=book.centroids[:, :256])
+        np.testing.assert_array_equal(pq_encode(full, np.array([[290.0]])), [[255]])
+
 
 def correlated_data(rng, n, d):
     """Data whose principal axes straddle block boundaries, so a rotation
@@ -433,6 +442,14 @@ class TestTrainOPQ:
         x = np.random.default_rng(14).standard_normal((20, 4))
         with pytest.raises(ValueError, match="num_blocks must be >= 1"):
             train_opq(x, num_blocks, 4, pad=True)
+
+    def test_rejects_zero_kmeans_iters_before_any_fit(self):
+        # The check names the trainer's own argument, before k-means could
+        # report its max_iters.
+        x = np.random.default_rng(14).standard_normal((20, 4))
+        for train in (train_pq, lambda *a, **k: train_opq(*a, pad=True, **k)):
+            with pytest.raises(ValueError, match="kmeans_iters must be >= 1, got 0"):
+                train(x, 2, 4, kmeans_iters=0)
 
     def test_zero_outer_iters_equals_plain_pq(self):
         rng = np.random.default_rng(15)

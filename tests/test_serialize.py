@@ -300,7 +300,7 @@ class TestCorruption:
         moment = (basis * spectrum) @ basis.T
         root = psd_sqrt(moment)
         transform = PairTransform(mode="sqdist", source_dim=128, matrix=root,
-                                  pinv=pseudo_inverse(root), second_moment=moment)
+                                  pinv=pseudo_inverse(root))
         model = train_pairq(transform, rng.standard_normal((64, 128)), 3, 4,
                             outer_iters=0, kmeans_iters=2, seed=0)
         save_model(tmp_model, model)
@@ -327,22 +327,27 @@ GOLDEN_PINV = np.diag([0.5, 1.0, 2.0])
 GOLDEN_MSE = 0.25 * np.arange(6.0).reshape(2, 3)
 
 
-def golden_bytes(widths=(2, 2), pinv=GOLDEN_PINV):
+def golden_bytes(widths=(2, 2), pinv=GOLDEN_PINV, mode=1, n=3, flags=7,
+                 centroids=GOLDEN_CENTROIDS, matrix=GOLDEN_MATRIX, mse=GOLDEN_MSE,
+                 rotation=GOLDEN_ROTATION):
+    """The golden file, or a variant with some fields replaced; no
+    transform or error-mean section when ``matrix`` or ``mse`` is None."""
     def floats(arr):
         return struct.pack(f"<{arr.size}f", *arr.ravel())
 
-    return b"".join([
+    parts = [
         b"PAIRQ1",
-        struct.pack("<4i", 1, 3, 2, 3),  # mode, n, M, K
-        struct.pack("<2i", *widths),
-        struct.pack("<i", 7),
-        floats(GOLDEN_ROTATION),
-        floats(GOLDEN_CENTROIDS),
-        struct.pack("<i", 3),
-        floats(GOLDEN_MATRIX),
-        floats(pinv),
-        floats(GOLDEN_MSE),
-    ])
+        struct.pack("<4i", mode, n, len(widths), centroids.shape[1]),  # mode, n, M, K
+        struct.pack(f"<{len(widths)}i", *widths),
+        struct.pack("<i", flags),
+        floats(rotation),
+        floats(centroids),
+    ]
+    if matrix is not None:
+        parts += [struct.pack("<i", len(matrix)), floats(matrix), floats(pinv)]
+    if mse is not None:
+        parts.append(floats(mse))
+    return b"".join(parts)
 
 
 class TestGoldenFile:
@@ -367,4 +372,39 @@ class TestGoldenFile:
         path = tmp_path / "unequal.pairq"
         path.write_bytes(golden_bytes(widths=(1, 3)))
         with pytest.raises(ValueError, match="unequal block widths"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("fields, message", [
+        # Mode 0 with the transform flag and section must not load as a
+        # squared-distance transform model.
+        (dict(mode=0), "flags 0x7 do not fit mode 0"),
+        # The transform dimension is n = 3 in scalar mode, n + 1 in sqdist.
+        (dict(matrix=np.eye(4), pinv=np.eye(4)), "corrupt transform: dimension 4"),
+        (dict(mode=2), "corrupt transform: dimension 3"),
+        # d = M·s = 4 must be n padded to a multiple of M = 2 blocks.
+        (dict(mode=0, n=1, flags=5, matrix=None), "quantizer dimension 4"),
+        (dict(mode=0, n=9, flags=5, matrix=None), "quantizer dimension 4"),
+    ])
+    def test_rejects_inconsistent_header(self, tmp_path, fields, message):
+        path = tmp_path / "bad.pairq"
+        path.write_bytes(golden_bytes(**fields))
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+
+    def test_codebook_size_is_at_most_one_byte(self, tmp_path):
+        # One block of width 1 over one raw dimension: K = 256 loads and
+        # encodes its last centroid as 255; K = 257 would wrap to code 0.
+        def one_block(k):
+            return golden_bytes(
+                widths=(1,), mode=0, n=1, flags=1, rotation=np.eye(1),
+                centroids=np.arange(float(k)).reshape(1, k, 1), matrix=None, mse=None,
+            )
+
+        path = tmp_path / "k.pairq"
+        path.write_bytes(one_block(256))
+        model, _ = load_model(str(path))
+        np.testing.assert_array_equal(opq_encode(model, [[290.0]]), [[255]])
+        path.write_bytes(one_block(257))
+        message = r"corrupt header: codebook_size must be in \[1, 256\], got 257"
+        with pytest.raises(ValueError, match=message):
             load_model(str(path))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairq.linalg import ZERO_EIG_RTOL
 from pairq.quantizer import opq_encode, pq_decode, reconstruction_error, train_opq
 from pairq.transform import (
     PairTransform,
@@ -74,6 +77,61 @@ class TestLearnScalarTransform:
             learn_scalar_transform(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="2-dimensional"):
             learn_scalar_transform(np.zeros(4))
+
+
+class TestRankDeficientProperty:
+    """On query samples that span only part of the space, the learned root
+    C squares to the second moment G up to psd_sqrt's eigenvalue clamp, its
+    pinv P satisfies the four Moore-Penrose identities, and the weighted
+    loss and the estimates of sample queries are exact up to that clamp."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["scalar", "sqdist"]),
+        dim=st.integers(2, 9),
+        rank_gap=st.integers(1, 9),
+        count=st.integers(1, 40),
+        log_scale=st.integers(-3, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_identities(self, mode, dim, rank_gap, count, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        rank = max(0, dim - rank_gap)
+        basis = rng.standard_normal((dim, rank))
+        q = 10.0**log_scale * rng.standard_normal((count, rank)) @ basis.T
+        learn = learn_sqdist_transform if mode == "sqdist" else learn_scalar_transform
+        t = learn(q)
+        g = np.hstack([-2.0 * q, np.ones((count, 1))]) if mode == "sqdist" else q
+        moment = g.T @ g / count
+        c, p = t.matrix, t.pinv
+        assert np.linalg.matrix_rank(moment) < t.dim
+
+        top = np.linalg.norm(moment, 2)
+        assert np.linalg.norm(c.T @ c - moment, 2) <= (ZERO_EIG_RTOL + 1e-12) * top
+        np.testing.assert_array_equal(t.second_moment, c.T @ c)
+
+        c_size, p_size = np.linalg.norm(c, 2), np.linalg.norm(p, 2)
+        tol = 1e-12 * max(c_size * p_size, 1.0)
+        assert np.linalg.norm(c @ p @ c - c, 2) <= tol * c_size
+        assert np.linalg.norm(p @ c @ p - p, 2) <= tol * p_size
+        assert np.linalg.norm(c @ p - (c @ p).T, 2) <= tol
+        assert np.linalg.norm(p @ c - (p @ c).T, 2) <= tol
+
+        # Any error e: the mean squared query-weighted error is ‖C e‖².
+        e = rng.standard_normal(t.dim)
+        weighted = np.mean((g @ e) ** 2)
+        assert abs(weighted - (c @ e) @ (c @ e)) <= (
+            (ZERO_EIG_RTOL + 1e-12) * top * (e @ e)
+        )
+        # Sample queries score transformed vectors exactly, (Pᵀg)·(C y) =
+        # g·y, but for their part in the clamped eigendirections u: there
+        # the sum over queries of (g·u)² is count·λ_u <= count·clamp·top.
+        y = rng.standard_normal(t.dim)
+        exact = g @ y
+        via = (g @ p) @ (c @ y)
+        clamped = np.sqrt(count * t.dim * ZERO_EIG_RTOL * top)
+        bound = (clamped + 1e-9 * np.linalg.norm(g, axis=1)) * np.linalg.norm(y)
+        assert (np.abs(via - exact) <= bound).all()
 
 
 class TestLifting:
@@ -213,7 +271,6 @@ class TestQueryVector:
             source_dim=2,
             matrix=np.diag([1.0, 2.0]),
             pinv=np.diag([1.0, 0.5]),
-            second_moment=np.diag([1.0, 4.0]),
         )
         rng = np.random.default_rng(10)
         db = rng.standard_normal((20, 2))
