@@ -21,8 +21,11 @@ in row-major order:
 A file that breaks a rule above is rejected as corrupt (M and K go through
 ``quantizer.check_training``), and so is any NaN or infinite float, a
 rotation that is not orthogonal to float32 precision, or a transform whose
-stored pseudoinverse does not invert its matrix. Arrays are float32 on
-disk, so reloaded models reproduce estimates at float32 precision.
+stored pseudoinverse does not invert its matrix. ``save_model`` parses the
+bytes it is about to write with the same code as ``load_model``, so it
+refuses any model that ``load_model`` would reject, and then writes
+nothing. Arrays are float32 on disk, so reloaded models reproduce estimates
+at float32 precision.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
 
     The bytes go to a new file in the same directory, which then replaces
     ``path`` in one step, so a failed write leaves any existing file as it
-    was.
+    was. A model that ``load_model`` would reject once written (say K > 256,
+    a NaN centroid or a non-orthogonal rotation) raises ValueError with
+    ``load_model``'s message, and nothing is written.
     """
     if isinstance(model, PairQModel):
         mode = MODE_SCALAR if model.mode == SCALAR else MODE_SQDIST
@@ -148,11 +153,16 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
     if mse_table is not None:
         check_mse_table(mse_table, book)
         parts.append(_floats(mse_table.values))
+    data = b"".join(parts)
+    try:
+        _parse(data)
+    except ValueError as exc:
+        raise ValueError(f"model would not load: {exc}") from None
     tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(b"".join(parts))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -168,7 +178,13 @@ def load_model(path):
         trace, convergence flag) are not stored, so they come back empty.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        return _parse(fh.read())
+
+
+def _parse(data: bytes):
+    """The model and error-mean table held in ``data``, the bytes of a
+    model file; ValueError if they break a rule of the format."""
+    reader = _Reader(data)
     if reader.take(len(MAGIC)) != MAGIC:
         raise ValueError("bad magic: not a PAIRQ1 model file")
     mode, n, num_blocks, codebook_size = (int(v) for v in reader.ints(4))

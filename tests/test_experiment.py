@@ -504,6 +504,30 @@ class TestCli:
         assert code == 2
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, message", [
+        ("pairq", "--bias-correct applies to plain quantizer models"),
+        ("opq", "no error-mean table; retrain with --mse"),
+    ], ids=["pairq-model", "opq-without-mse"])
+    def test_eval_bias_correct_refusals(self, workdir, capsys, method, message):
+        run_cli("synth", "--dim", 4, "--database-size", 60,
+                "--train-queries", 40, "--eval-queries", 5, "--out-dir", "d")
+        run_cli("train", "--mode", "sqdist", "--method", method,
+                "--database", "d/database.fvecs",
+                "--train-queries", "d/train_queries.fvecs",
+                "-M", 2, "-K", 4, "--outer-iters", 0, "--kmeans-iters", 5,
+                "--out", "m.pairq")
+        run_cli("encode", "--model", "m.pairq",
+                "--database", "d/database.fvecs",
+                "--mode", "sqdist", "--out", "c.ivecs")
+        capsys.readouterr()
+        code = run_cli("eval", "--model", "m.pairq",
+                       "--database", "d/database.fvecs", "--codes", "c.ivecs",
+                       "--eval-queries", "d/eval_queries.fvecs",
+                       "--mode", "sqdist", "--bias-correct", "--out", "m.json")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists("m.json")
+
     def test_bench_grid(self, workdir, capsys):
         code = run_cli("bench", "--task", "sqdist",
                        "--methods", "opq,opq-bc,pairq", "--blocks", "2",

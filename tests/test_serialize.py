@@ -280,9 +280,11 @@ class TestCorruption:
         t = model.transform
         t.pinv = {"scaled": 1.05 * t.pinv, "zero": np.zeros_like(t.pinv),
                   "matrix": t.matrix}[bad_pinv]
-        save_model(tmp_model, model)
+        # save_model parses its own bytes with load_model's rules, so the
+        # refusal comes at save, and nothing is written.
         with pytest.raises(ValueError, match="pinv is inconsistent"):
-            load_model(tmp_model)
+            save_model(tmp_model, model)
+        assert os.listdir(os.path.dirname(tmp_model)) == []
 
     def test_inconsistent_golden_pinv(self, tmp_path):
         path = tmp_path / "golden.pairq"
@@ -327,13 +329,19 @@ GOLDEN_PINV = np.diag([0.5, 1.0, 2.0])
 GOLDEN_MSE = 0.25 * np.arange(6.0).reshape(2, 3)
 
 
-def golden_bytes(widths=(2, 2), pinv=GOLDEN_PINV, mode=1, n=3, flags=7,
+def golden_bytes(widths=None, pinv=GOLDEN_PINV, mode=1, n=3, flags=None,
                  centroids=GOLDEN_CENTROIDS, matrix=GOLDEN_MATRIX, mse=GOLDEN_MSE,
                  rotation=GOLDEN_ROTATION):
     """The golden file, or a variant with some fields replaced; no
-    transform or error-mean section when ``matrix`` or ``mse`` is None."""
+    transform or error-mean section when ``matrix`` or ``mse`` is None.
+    The widths and flags default to those the centroids and sections give."""
     def floats(arr):
         return struct.pack(f"<{arr.size}f", *arr.ravel())
+
+    if widths is None:
+        widths = (centroids.shape[2],) * len(centroids)
+    if flags is None:
+        flags = 1 | (0 if matrix is None else 2) | (0 if mse is None else 4)
 
     parts = [
         b"PAIRQ1",
@@ -408,3 +416,44 @@ class TestGoldenFile:
         message = r"corrupt header: codebook_size must be in \[1, 256\], got 257"
         with pytest.raises(ValueError, match=message):
             load_model(str(path))
+
+
+def golden_model(mode=1, n=3, rotation=GOLDEN_ROTATION, centroids=GOLDEN_CENTROIDS,
+                 matrix=GOLDEN_MATRIX, pinv=GOLDEN_PINV, mse=GOLDEN_MSE):
+    """The in-memory model and error-mean table that ``golden_bytes`` with
+    the same fields writes, built without checking any of them."""
+    opq = OPQModel(rotation=rotation, codebook=PQCodebook(centroids=centroids),
+                   input_dim=n + 1 if mode == 2 else n)
+    model = opq if matrix is None else PairQModel(
+        transform=PairTransform(mode="scalar" if mode == 1 else "sqdist",
+                                source_dim=n, matrix=matrix, pinv=pinv),
+        opq=opq,
+    )
+    return model, None if mse is None else MseTable(values=mse)
+
+
+class TestSaveRefusesWhatLoadRejects:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(centroids=np.zeros((2, 257, 2)), mse=None),
+         r"codebook_size must be in \[1, 256\], got 257"),
+        (dict(mode=0, n=1, matrix=None),
+         "quantizer dimension 4 is not input dimension 1 padded to 2 blocks"),
+        (dict(centroids=np.where(GOLDEN_CENTROIDS == 2.0, np.nan, GOLDEN_CENTROIDS)),
+         "non-finite"),
+        (dict(rotation=2 * np.eye(4)), "rotation is not orthogonal"),
+        (dict(rotation=np.eye(3)), "rotation is not orthogonal"),
+    ], ids=["k257", "input-dim", "nan-centroid", "scaled-rotation", "3x3-rotation"])
+    def test_same_rule_and_nothing_written(self, tmp_path, fields, message):
+        bad = tmp_path / "bad.pairq"
+        bad.write_bytes(golden_bytes(**fields))
+        with pytest.raises(ValueError, match=message) as at_load:
+            load_model(str(bad))
+
+        path = tmp_path / "model.pairq"
+        path.write_bytes(golden_bytes())
+        model, mse = golden_model(**fields)
+        with pytest.raises(ValueError, match=message) as at_save:
+            save_model(str(path), model, mse_table=mse)
+        assert str(at_save.value) == f"model would not load: {at_load.value}"
+        assert path.read_bytes() == golden_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.pairq", "model.pairq"]
