@@ -134,14 +134,6 @@ def _cmd_encode(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, mse = load_model(args.model)
-    kind = task_kind(args.mode)
-    if isinstance(model, PairQModel) and model.mode != kind:
-        print(
-            f"error: model produces {model.mode!r} estimates, --mode "
-            f"{args.mode} needs {kind!r}",
-            file=sys.stderr,
-        )
-        return 2
     method = model
     if args.bias_correct:
         if isinstance(model, PairQModel):
@@ -157,7 +149,7 @@ def _cmd_eval(args) -> int:
     queries = _load_vectors(args.eval_queries, args.mode)
     codes = read_ivecs(args.codes)
     stats = evaluate_method(
-        method, kind, queries, database, codes,
+        method, task_kind(args.mode), queries, database, codes,
         max_pairs=args.max_pairs, seed=args.seed,
     )
     text = json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True)

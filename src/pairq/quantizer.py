@@ -2,13 +2,13 @@
 variant that alternates codebook fits with an orthogonal Procrustes update.
 
 Assignment (``_assign_batch``, behind Lloyd, ``pq_encode`` and every encoder
-built on it) walks the rows in tiles of about ``TILE_ENTRIES`` distances, so
-its buffers stay in cache. Each tile is one matrix product ``-2 x·c`` into a
-reused buffer; the winner is the argmin of ``‖c‖² − 2 x·c``, because ``‖x‖²``
-is the same for every centroid of a row. ``‖x‖²`` is added back for the
-winner only and the result clamped at 0. ``pq_encode`` needs only labels:
-its tiles add ``‖c‖²`` into the product buffer in place and take the argmin
-straight into the labels, the same scores and so the same labels as Lloyd's.
+built on it) walks the rows in tiles of about ``TILE_ENTRIES`` scores, so
+its one reused buffer stays in cache. Each tile is one matrix product
+``-2 x·c`` into that buffer, plus ``‖c‖²`` in place; the argmin goes
+straight into the labels, and the winner's score ``‖c‖² − 2 x·c`` is
+gathered. ``‖x‖²`` is the same for every centroid of a row, so it plays no
+part in the pick: Lloyd adds it to the winner's score and clamps at 0 for
+the squared distance, and ``pq_encode`` keeps only the labels.
 
 k-means++ seeding inverts the cumulative D² distribution with one uniform
 draw, the same draw and the same pick that ``Generator.choice(n, p=...)``
@@ -48,9 +48,9 @@ DEFAULT_KMEANS_ITERS = 25
 # this relative slack indicate a real bug rather than float64 rounding.
 MONOTONE_RTOL = 1e-9
 
-# Distances per assignment tile: 2**16 float64 values (512 KB) per buffer.
-# Sizing by entries rather than rows keeps the two tile buffers in a core's
-# L2 cache for every codebook size. It also keeps each product of a large
+# Scores per assignment tile: 2**16 float64 values (512 KB) in one buffer.
+# Sizing by entries rather than rows keeps the tile buffer in a core's L2
+# cache for every codebook size. It also keeps each product of a large
 # batch above the size where OpenBLAS switches to small-matrix kernels, which
 # sum in another order.
 TILE_ENTRIES = 1 << 16
@@ -86,15 +86,12 @@ def _check_monotone(trace: list[float], context: str) -> None:
             )
 
 
-def _assign_batch(x, centroids, x_sq=None, distances=True):
-    """Nearest centroid per row of x and the squared distance to it.
+def _assign_batch(x, centroids):
+    """Nearest centroid per row of x and that centroid's score.
 
-    The distance is ``(‖x‖² − 2 x·c) + ‖c‖²`` for the winning centroid,
-    summed in that order and clamped at 0; the products stay in their own
-    buffer for it. Ties go to the lowest centroid index. With ``distances``
-    False the distance is None and ``‖c‖²`` goes into the product buffer
-    in place: the same scores, so the same labels, without the second
-    buffer, the gather or ``‖x‖²``.
+    The score is ``‖c‖² − 2 x·c``, the squared distance less ``‖x‖²``,
+    which is the same for every centroid of a row. Ties go to the lowest
+    centroid index.
     """
     x = np.ascontiguousarray(x)
     n, k = x.shape[0], centroids.shape[0]
@@ -105,27 +102,19 @@ def _assign_batch(x, centroids, x_sq=None, distances=True):
     # rows only when the whole batch does: a product of a few rows goes
     # through other BLAS kernels, which round differently.
     ends = list(range(rows, n - rows + 1, rows)) + [n]
-    prod = np.empty((min(n, 2 * rows - 1), k))
-    score = np.empty_like(prod) if distances else prod
+    score = np.empty((min(n, 2 * rows - 1), k))
+    tile_rows = np.arange(score.shape[0])
     labels = np.empty(n, dtype=np.intp)
-    best_prod = np.empty(n) if distances else None
+    best = np.empty(n)
     start = 0
     for end in ends:
-        p, t = prod[: end - start], score[: end - start]
-        np.matmul(x[start:end], minus_2ct, out=p)
-        np.add(p, c_sq, out=t)
+        t = score[: end - start]
+        np.matmul(x[start:end], minus_2ct, out=t)
+        np.add(t, c_sq, out=t)
         tile_labels = t.argmin(axis=1, out=labels[start:end])
-        if distances:
-            best_prod[start:end] = p[np.arange(end - start), tile_labels]
+        best[start:end] = t[tile_rows[: end - start], tile_labels]
         start = end
-    if not distances:
-        return labels, None
-    if x_sq is None:
-        x_sq = np.einsum("ij,ij->i", x, x)
-    min_d2 = x_sq + best_prod
-    min_d2 += c_sq[labels]
-    np.maximum(min_d2, 0.0, out=min_d2)
-    return labels, min_d2
+    return labels, best
 
 
 def _centroid_means(x, labels, k):
@@ -180,7 +169,8 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     trace: list[float] = []
     converged = False
     for _ in range(max_iters):
-        labels, min_d2 = _assign_batch(x, centroids, x_sq)
+        labels, best = _assign_batch(x, centroids)
+        min_d2 = np.maximum(x_sq + best, 0.0)
         trace.append(float(min_d2.sum()))
         _check_monotone(trace[-2:], context)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
@@ -388,10 +378,9 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
     sub = codebook.centroids.shape[2]
     for j, block_centroids in enumerate(codebook.centroids):
-        labels, _ = _assign_batch(
-            arr[:, j * sub : (j + 1) * sub], block_centroids, distances=False
-        )
-        codes[:, j] = labels
+        codes[:, j] = _assign_batch(
+            arr[:, j * sub : (j + 1) * sub], block_centroids
+        )[0]
     return codes[0] if single else codes
 
 

@@ -177,6 +177,14 @@ def pairq_encode(model: PairQModel, database) -> np.ndarray:
     return opq_encode(model.opq, z)
 
 
+def _check_query_dim(model: PairQModel, v: np.ndarray) -> None:
+    if v.shape[0] != model.transform.source_dim:
+        raise ValueError(
+            f"query dimension {v.shape[0]} does not match transform "
+            f"source dimension {model.transform.source_dim}"
+        )
+
+
 def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
     """Query-side vector r with r . z_hat as the raw estimate.
 
@@ -186,11 +194,7 @@ def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
     tables directly.
     """
     v = as_vector(q, "q")
-    if v.shape[0] != model.transform.source_dim:
-        raise ValueError(
-            f"query dimension {v.shape[0]} does not match transform "
-            f"source dimension {model.transform.source_dim}"
-        )
+    _check_query_dim(model, v)
     if model.mode == SQDIST:
         v = _query_lift(v[None, :])[0]
     r = model.transform.pinv.T @ v
@@ -230,4 +234,5 @@ def pairq_estimate_sqdist(model: PairQModel, q, r, code) -> float:
     if model.mode != SQDIST:
         raise ValueError(f"model mode is {model.mode!r}, expected {SQDIST!r}")
     v = as_vector(q, "q")
+    _check_query_dim(model, v)
     return float(v @ v) + _decoded_estimate(model, r, code)

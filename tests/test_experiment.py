@@ -497,12 +497,17 @@ class TestCli:
         run_cli("encode", "--model", "m.pairq",
                 "--database", "d/database.fvecs",
                 "--mode", "scalar", "--out", "c.ivecs")
+        capsys.readouterr()
         code = run_cli("eval", "--model", "m.pairq",
                        "--database", "d/database.fvecs", "--codes", "c.ivecs",
                        "--eval-queries", "d/eval_queries.fvecs",
-                       "--mode", "sqdist")
+                       "--mode", "sqdist", "--out", "m.json")
         assert code == 2
-        assert "mode" in capsys.readouterr().err
+        # The library's rule (estimate_batch), not a restatement in the CLI.
+        assert capsys.readouterr().err == (
+            "error: model mode 'scalar' cannot produce 'sqdist' estimates\n"
+        )
+        assert not os.path.exists("m.json")
 
     @pytest.mark.parametrize("method, message", [
         ("pairq", "--bias-correct applies to plain quantizer models"),

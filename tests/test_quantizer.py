@@ -189,19 +189,26 @@ def assign_case_data(k, n):
     return x, centroids
 
 
+def lloyd_min_d2(x, best):
+    """Squared distance to the winner, built from the kernel's score as
+    ``_lloyd`` builds it."""
+    return np.maximum(np.einsum("ij,ij->i", x, x) + best, 0.0)
+
+
 class TestAssignBatch:
     """The tiled kernel against a brute-force nearest-centroid search."""
 
     @pytest.mark.parametrize("k,n", list(assign_cases()))
     def test_matches_brute_force(self, k, n):
         x, centroids = assign_case_data(k, n)
-        labels, min_d2 = _assign_batch(x, centroids)
+        labels, best = _assign_batch(x, centroids)
+        min_d2 = lloyd_min_d2(x, best)
         assert labels.shape == (n,) and min_d2.shape == (n,)
         if n == 0:
             return
         d2 = exact_sq_dists(x, centroids)
         rows = np.arange(n)
-        # Rounding of (x² − 2xc) + c² relative to the magnitudes involved.
+        # Rounding of x² + (c² − 2xc) relative to the magnitudes involved.
         tol = 1e-13 * (np.einsum("ij,ij->i", x, x) + (centroids ** 2).sum(1).max())
         assert (min_d2 >= 0.0).all()
         assert (np.abs(min_d2 - d2[rows, labels]) <= tol).all()
@@ -230,15 +237,16 @@ class TestAssignBatch:
         rng = np.random.default_rng(seed)
         x = rng.integers(-4, 5, size=(n, dim)).astype(float)
         centroids = rng.integers(-4, 5, size=(k, dim)).astype(float)
-        labels, min_d2 = _assign_batch(x, centroids)
+        labels, best = _assign_batch(x, centroids)
+        min_d2 = lloyd_min_d2(x, best)
         d2 = exact_sq_dists(x, centroids)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(min_d2, d2.min(axis=1, initial=np.inf))
 
 
 class TestEncodeMatchesLloyd:
-    """``pq_encode`` computes labels only; they must stay the labels that
-    Lloyd's assignment, which also computes distances, gives the same rows."""
+    """``pq_encode`` keeps only the labels of the assignment kernel that
+    Lloyd runs; they must be the labels the kernel gives the same rows."""
 
     @pytest.mark.parametrize("k,n", list(assign_cases()))
     def test_labels_equal_assign_batch(self, k, n):

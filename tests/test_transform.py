@@ -383,6 +383,20 @@ class TestEstimates:
         with pytest.raises(ValueError, match="mode"):
             pairq_estimate_scalar(sq_model, r2, np.array([0]))
 
+    def test_sqdist_estimate_rejects_query_dimension(self):
+        # r has the right length, so only q's own length can catch a query
+        # of the wrong dimension.
+        rng = np.random.default_rng(20)
+        q = rng.standard_normal((40, 6))
+        db = rng.standard_normal((60, 6))
+        model = train_pairq(learn_sqdist_transform(q), db, 2, 4,
+                            outer_iters=0, kmeans_iters=5, seed=0)
+        r = pairq_query_vector(model, q[0])
+        code = pairq_encode(model, db[:1])[0]
+        with pytest.raises(ValueError, match="query dimension 3 does not "
+                           "match transform source dimension 6"):
+            pairq_estimate_sqdist(model, q[0, :3], r, code)
+
     def test_training_set_unbiasedness_scalar(self):
         # At a converged single-block fit the estimates average out exactly
         # over the training set, for any query.
