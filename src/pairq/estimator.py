@@ -91,16 +91,21 @@ def adc_scan(lut, codes) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-def compute_mse_table(model: OPQModel, training_data) -> MseTable:
+def compute_mse_table(model: OPQModel, training_data, codes=None) -> MseTable:
     """Per-codeword mean squared quantization error on training data.
 
-    Codewords that receive no training points get 0.
+    Codewords that receive no training points get 0. ``codes``, when given,
+    must be ``opq_encode(model, training_data)``, one row per training
+    vector; the data is then not encoded again.
     """
     x = as_matrix(training_data, "training_data")
     x_rot = apply_rotation(model, x)
     book = model.codebook
     m, k, sub = book.centroids.shape
-    codes = pq_encode(book, x_rot)
+    if codes is None:
+        codes = pq_encode(book, x_rot)
+    elif len(codes) != x.shape[0]:
+        raise ValueError(f"{len(codes)} code rows for {x.shape[0]} training vectors")
     diff = (x_rot - pq_decode(book, codes)).reshape(x.shape[0], m, sub)
     err = np.einsum("nms,nms->nm", diff, diff)
     # One bincount for all blocks: codeword c of block j is bin j*K + c.

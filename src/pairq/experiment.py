@@ -287,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 scorer, codes = fitted[family]
                 if method == "opq-bc":
                     scorer = BiasCorrected(
-                        opq=scorer, mse=compute_mse_table(scorer, database)
+                        opq=scorer, mse=compute_mse_table(scorer, database, codes)
                     )
                 cell.timings = {"train_encode": time.perf_counter() - t0}
             except Exception as exc:

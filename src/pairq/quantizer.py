@@ -2,13 +2,12 @@
 variant that alternates codebook fits with an orthogonal Procrustes update.
 
 Assignment (``_assign_batch``, behind Lloyd, ``pq_encode`` and every encoder
-built on it) walks the rows in tiles of about ``TILE_ENTRIES`` scores, so
-its one reused buffer stays in cache. Each tile is one matrix product
-``-2 x·c`` into that buffer, plus ``‖c‖²`` in place; the argmin goes
-straight into the labels, and the winner's score ``‖c‖² − 2 x·c`` is
-gathered. ``‖x‖²`` is the same for every centroid of a row, so it plays no
-part in the pick: Lloyd adds it to the winner's score and clamps at 0 for
-the squared distance, and ``pq_encode`` keeps only the labels.
+built on it) walks the rows in tiles of about ``TILE_ENTRIES`` scores in one
+reused buffer. Each tile is one product ``[x, 1] @ [−2cᵀ; ‖c‖²]``, which is
+the score ``‖c‖² − 2 x·c``; the argmin goes straight into the labels and the
+winner's score is gathered. ``‖x‖²``, the same for every centroid of a row,
+plays no part in the pick: Lloyd adds it to the winner's score and clamps
+at 0 for the squared distance, and ``pq_encode`` keeps only the labels.
 
 k-means++ seeding inverts the cumulative D² distribution with one uniform
 draw, the same draw and the same pick that ``Generator.choice(n, p=...)``
@@ -49,10 +48,9 @@ DEFAULT_KMEANS_ITERS = 25
 MONOTONE_RTOL = 1e-9
 
 # Scores per assignment tile: 2**16 float64 values (512 KB) in one buffer.
-# Sizing by entries rather than rows keeps the tile buffer in a core's L2
-# cache for every codebook size. It also keeps each product of a large
-# batch above the size where OpenBLAS switches to small-matrix kernels, which
-# sum in another order.
+# Sized by entries, it stays in a core's L2 cache for every codebook size,
+# and each product of a large batch stays above the size where OpenBLAS
+# switches to small-matrix kernels, which sum in another order.
 TILE_ENTRIES = 1 << 16
 
 
@@ -87,30 +85,32 @@ def _check_monotone(trace: list[float], context: str) -> None:
 
 
 def _assign_batch(x, centroids):
-    """Nearest centroid per row of x and that centroid's score.
+    """Nearest centroid per row of x and its score ``‖c‖² − 2 x·c``.
 
-    The score is ``‖c‖² − 2 x·c``, the squared distance less ``‖x‖²``,
-    which is the same for every centroid of a row. Ties go to the lowest
-    centroid index.
+    Ties go to the lowest index. The columns are padded with +inf to a
+    multiple of 8 so that copies of a centroid tie exactly: BLAS edge
+    kernels would round the last columns differently. The scores equal a
+    product plus a separate ``‖c‖²`` add bit for bit (OpenBLAS 0.3.31) at
+    multiples of 8 centroids in batches of hundreds of rows (see README).
     """
-    x = np.ascontiguousarray(x)
-    n, k = x.shape[0], centroids.shape[0]
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    minus_2ct = -2.0 * centroids.T
+    (n, s), k = x.shape, centroids.shape[0]
+    rows1 = np.hstack([x, np.ones((n, 1))])
+    weights = np.zeros((s + 1, -(-k // 8) * 8))
+    weights[s] = np.inf
+    weights[:s, :k] = -2.0 * centroids.T
+    weights[s, :k] = np.einsum("ij,ij->i", centroids, centroids)
     rows = max(1, TILE_ENTRIES // k)
-    # The last tile takes the remainder, so a tile has fewer than ``rows``
-    # rows only when the whole batch does: a product of a few rows goes
-    # through other BLAS kernels, which round differently.
+    # The last tile takes the remainder, so only a batch of fewer than
+    # ``rows`` rows has a short tile, whose product BLAS rounds otherwise.
     ends = list(range(rows, n - rows + 1, rows)) + [n]
-    score = np.empty((min(n, 2 * rows - 1), k))
+    score = np.empty((min(n, 2 * rows - 1), weights.shape[1]))
     tile_rows = np.arange(score.shape[0])
     labels = np.empty(n, dtype=np.intp)
     best = np.empty(n)
     start = 0
     for end in ends:
         t = score[: end - start]
-        np.matmul(x[start:end], minus_2ct, out=t)
-        np.add(t, c_sq, out=t)
+        np.matmul(rows1[start:end], weights, out=t)
         tile_labels = t.argmin(axis=1, out=labels[start:end])
         best[start:end] = t[tile_rows[: end - start], tile_labels]
         start = end

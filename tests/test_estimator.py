@@ -176,6 +176,22 @@ class TestMseTable:
             rtol=1e-10,
         )
 
+    def test_given_codes_give_the_same_table(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x, model = trained_model(rng)
+        codes = opq_encode(model, x)
+        table = compute_mse_table(model, x).values
+
+        def no_encode(*args):
+            raise AssertionError("given codes were encoded again")
+
+        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        np.testing.assert_array_equal(
+            compute_mse_table(model, x, codes).values, table
+        )
+        with pytest.raises(ValueError, match="code rows"):
+            compute_mse_table(model, x, codes[1:])
+
     def test_empty_cells_are_zero(self):
         rng = np.random.default_rng(11)
         x, model = trained_model(rng, n=400, k=16)

@@ -306,6 +306,16 @@ class TestFitMethod:
         assert all(c.error is None for c in report.cells)
         assert calls == {"opq": 2, "pairq": 2}
 
+    def test_opq_bc_table_reuses_the_opq_codes(self, monkeypatch):
+        def no_encode(*args):
+            raise AssertionError("the error-mean table encoded the database again")
+
+        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        report = run_experiment(tiny_config(
+            task="sqdist", methods=("opq", "opq-bc"), block_counts=(2,),
+        ))
+        assert [c.error for c in report.cells] == [None, None]
+
 
 class TestReportFiles:
     def test_csv_is_byte_identical_across_reruns(self, tmp_path):

@@ -167,22 +167,27 @@ def exact_sq_dists(x, centroids):
 
 
 def assign_cases():
-    for k in (1, 2, 256):
-        tile = TILE_ENTRIES // k
-        for n in (0, 1, tile - 1, tile, tile + 1, 2 * tile + 3):
-            yield k, n
+    """(k, n, s) around the tile edges. k = 255 is an odd codebook width,
+    where OpenBLAS's edge kernels would compute the last columns; s = 8 and
+    17 are the block widths of the benchmark's train-scalar and bench-sqdist
+    shapes. Width-3 ids carry no width."""
+    for s in (3, 8, 17):
+        for k in (1, 2, 255, 256):
+            tile = TILE_ENTRIES // k
+            for n in (0, 1, tile - 1, tile, tile + 1, 2 * tile + 3):
+                yield pytest.param(k, n, s, id=f"{k}-{n}" + (f"-s{s}" if s != 3 else ""))
 
 
-def assign_case_data(k, n):
-    """Points and centroids of one ``assign_cases`` pair: duplicate points,
+def assign_case_data(k, n, s):
+    """Points and centroids of one ``assign_cases`` triple: duplicate points,
     centroids sitting on points, and (for k > 2) a centroid repeated at the
-    last index."""
-    rng = np.random.default_rng(1000 * k + n)
-    pool = rng.standard_normal((max(1, n // 3), 3))
+    last index. Width 3 is seeded with ``1000 * k + n``."""
+    rng = np.random.default_rng(1000 * k + n + 10**6 * (s - 3))
+    pool = rng.standard_normal((max(1, n // 3), s))
     x = pool[rng.integers(len(pool), size=n)]
     centroids = np.vstack([
         pool[rng.integers(len(pool), size=(k + 1) // 2)],
-        rng.standard_normal((k // 2, 3)),
+        rng.standard_normal((k // 2, s)),
     ])
     if k > 2:
         centroids[-1] = centroids[0]
@@ -198,9 +203,9 @@ def lloyd_min_d2(x, best):
 class TestAssignBatch:
     """The tiled kernel against a brute-force nearest-centroid search."""
 
-    @pytest.mark.parametrize("k,n", list(assign_cases()))
-    def test_matches_brute_force(self, k, n):
-        x, centroids = assign_case_data(k, n)
+    @pytest.mark.parametrize("k,n,s", list(assign_cases()))
+    def test_matches_brute_force(self, k, n, s):
+        x, centroids = assign_case_data(k, n, s)
         labels, best = _assign_batch(x, centroids)
         min_d2 = lloyd_min_d2(x, best)
         assert labels.shape == (n,) and min_d2.shape == (n,)
@@ -248,9 +253,9 @@ class TestEncodeMatchesLloyd:
     """``pq_encode`` keeps only the labels of the assignment kernel that
     Lloyd runs; they must be the labels the kernel gives the same rows."""
 
-    @pytest.mark.parametrize("k,n", list(assign_cases()))
-    def test_labels_equal_assign_batch(self, k, n):
-        x, centroids = assign_case_data(k, n)
+    @pytest.mark.parametrize("k,n,s", list(assign_cases()))
+    def test_labels_equal_assign_batch(self, k, n, s):
+        x, centroids = assign_case_data(k, n, s)
         codes = pq_encode(PQCodebook(centroids=centroids[None]), x)
         assert codes.shape == (n, 1)
         np.testing.assert_array_equal(codes[:, 0], _assign_batch(x, centroids)[0])
