@@ -43,7 +43,7 @@ from .experiment import (
     write_report_csv,
     write_report_json,
 )
-from .metrics import DEFAULT_PAIR_BUDGET, evaluate_method
+from .metrics import DEFAULT_PAIR_BUDGET, SQDIST, evaluate_method
 from .quantizer import (
     DEFAULT_CODEBOOK_SIZE,
     DEFAULT_KMEANS_ITERS,
@@ -163,16 +163,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    synthetic = None
-    if args.synth_dim is not None:
-        synthetic = SyntheticSpec(
-            dim=args.synth_dim,
-            num_database=args.synth_database,
-            num_train_queries=args.synth_train_queries,
-            num_eval_queries=args.synth_eval_queries,
-            database_decay=args.db_decay,
-            query_decay=args.query_decay,
-        )
     config = ExperimentConfig(
         task=args.task,
         methods=tuple(args.methods.split(",")),
@@ -182,7 +172,6 @@ def _cmd_bench(args) -> int:
         kmeans_iters=args.kmeans_iters,
         max_pairs=args.max_pairs,
         seed=args.seed,
-        synthetic=synthetic,
         database_path=args.database,
         train_queries_path=args.train_queries,
         eval_queries_path=args.eval_queries,
@@ -194,10 +183,10 @@ def _cmd_bench(args) -> int:
             failed = True
             print(f"{cell.method:8s} M={cell.num_blocks:<4d} FAILED: {cell.error}")
             continue
-        metric = cell.scalar_mse if cell.scalar_mse is not None else cell.rel_dist_error
-        name = "mse" if cell.scalar_mse is not None else "rel_err"
+        name = "rel_err" if task_kind(cell.task) == SQDIST else "mse"
+        value = "none" if cell.task_error is None else f"{cell.task_error:.6g}"
         line = (
-            f"{cell.method:8s} M={cell.num_blocks:<4d} {name}={metric:.6g} "
+            f"{cell.method:8s} M={cell.num_blocks:<4d} {name}={value} "
             f"bias={cell.mean_signed_error:+.3e}"
         )
         if cell.error_reduction_vs_opq_pct is not None:
@@ -272,15 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", default="8", help="comma list of block counts")
     _add_common_training_flags(p)
     p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--database", help="fvecs file (omit when --synth-dim is set)")
-    p.add_argument("--train-queries", help="fvecs file")
-    p.add_argument("--eval-queries", help="fvecs file")
-    p.add_argument("--synth-dim", type=int)
-    p.add_argument("--synth-database", type=int, default=10000)
-    p.add_argument("--synth-train-queries", type=int, default=2048)
-    p.add_argument("--synth-eval-queries", type=int, default=256)
-    p.add_argument("--db-decay", type=float, default=3.0)
-    p.add_argument("--query-decay", type=float, default=3.0)
+    p.add_argument("--database", required=True, help="fvecs file")
+    p.add_argument("--train-queries", required=True, help="fvecs file")
+    p.add_argument("--eval-queries", required=True, help="fvecs file")
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.set_defaults(func=_cmd_bench)

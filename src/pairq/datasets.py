@@ -150,11 +150,12 @@ def gen_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticData:
 
 
 def second_moment_condition(queries) -> float:
-    """Condition number of the mean query outer-product matrix."""
+    """Condition number of the mean query outer-product matrix; infinite
+    when it is singular or empty (an empty vector file reads as (0, 0))."""
     q = as_matrix(queries, "queries")
     moment = (q.T @ q) / max(q.shape[0], 1)
     w = np.linalg.eigvalsh(moment)
-    if w[-1] <= 0.0:
+    if w.size == 0 or w[-1] <= 0.0:
         return float("inf")
     smallest = max(w[0], 0.0)
     return float("inf") if smallest == 0.0 else float(w[-1] / smallest)

@@ -125,6 +125,11 @@ class CellResult:
     error: str | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
+    @property
+    def task_error(self) -> float | None:
+        """The error under the cell's task: scalar MSE or relative error."""
+        return self.rel_dist_error if self.task == "sqdist" else self.scalar_mse
+
 
 @dataclass
 class Report:
@@ -177,11 +182,6 @@ def _validate_config(config: ExperimentConfig) -> None:
 def task_kind(task: str) -> str:
     """Estimate kind of a task; cosine is the scalar kind on unit rows."""
     return SQDIST if task == "sqdist" else SCALAR
-
-
-def _task_error(cell: CellResult) -> float | None:
-    """The cell's error under its task: scalar MSE or relative error."""
-    return cell.rel_dist_error if cell.task == "sqdist" else cell.scalar_mse
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -320,9 +320,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
     for num_blocks in config.block_counts:
         block_cells = [c for c in cells if c.num_blocks == num_blocks]
         base_cell = next((c for c in block_cells if c.method == "opq"), None)
-        base = None if base_cell is None else _task_error(base_cell)
+        base = None if base_cell is None else base_cell.task_error
         for cell in block_cells:
-            ours = _task_error(cell)
+            ours = cell.task_error
             if cell is not base_cell and base and ours is not None:
                 cell.error_reduction_vs_opq_pct = 100.0 * (1.0 - ours / base)
 

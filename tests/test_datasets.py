@@ -153,3 +153,8 @@ class TestSecondMomentCondition:
     def test_rank_deficient_is_infinite(self):
         q = np.array([[1.0, 0.0], [2.0, 0.0]])
         assert second_moment_condition(q) == np.inf
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_no_queries_is_infinite(self, shape):
+        # An empty vector file reads as (0, 0), with no dimension to keep.
+        assert second_moment_condition(np.empty(shape)) == np.inf

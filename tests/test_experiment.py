@@ -365,6 +365,21 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+# Paths for `pairq bench`. The files need not exist when the command must
+# stop at the config check, which runs before any file is read.
+BENCH_FILES = ("--database", "d/database.fvecs",
+               "--train-queries", "d/train_queries.fvecs",
+               "--eval-queries", "d/eval_queries.fvecs")
+
+
+def synth_bench_files(dim, database, train_queries, eval_queries):
+    """Write `pairq synth` files to d/ and return BENCH_FILES."""
+    run_cli("synth", "--dim", dim, "--database-size", database,
+            "--train-queries", train_queries, "--eval-queries", eval_queries,
+            "--db-decay", 3.0, "--query-decay", 3.0, "--out-dir", "d")
+    return BENCH_FILES
+
+
 class TestCli:
     def test_synth_writes_three_files(self, workdir, capsys):
         code = run_cli("synth", "--dim", 6, "--database-size", 50,
@@ -547,9 +562,7 @@ class TestCli:
         code = run_cli("bench", "--task", "sqdist",
                        "--methods", "opq,opq-bc,pairq", "--blocks", "2",
                        "-K", 8, "--outer-iters", 1, "--kmeans-iters", 8,
-                       "--synth-dim", 6, "--synth-database", 200,
-                       "--synth-train-queries", 100,
-                       "--synth-eval-queries", 8,
+                       *synth_bench_files(6, 200, 100, 8),
                        "--out-csv", "r.csv", "--out-json", "r.json")
         assert code == 0
         out = capsys.readouterr().out
@@ -563,11 +576,11 @@ class TestCli:
         assert payload["config"]["task"] == "sqdist"
 
     def test_bench_fills_vs_opq_for_methods_before_opq(self, workdir, capsys):
+        files = synth_bench_files(4, 60, 40, 4)
+        capsys.readouterr()
         code = run_cli("bench", "--task", "scalar", "--methods", "pairq,opq",
                        "--blocks", "2", "-K", 4,
-                       "--outer-iters", 0, "--kmeans-iters", 5,
-                       "--synth-dim", 4, "--synth-database", 60,
-                       "--synth-train-queries", 40, "--synth-eval-queries", 4)
+                       "--outer-iters", 0, "--kmeans-iters", 5, *files)
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("pairq") and "vs-opq=" in lines[0]
@@ -575,7 +588,7 @@ class TestCli:
 
     def test_bench_rejects_duplicates(self, workdir, capsys):
         for flag, value in (("--methods", "opq,opq"), ("--blocks", "2,2")):
-            code = run_cli("bench", flag, value, "--synth-dim", 4)
+            code = run_cli("bench", flag, value, *BENCH_FILES)
             assert code == 2
             assert "twice" in capsys.readouterr().err
 
@@ -589,7 +602,7 @@ class TestCli:
         assert code == 2
         assert "num_blocks must be >= 1" in capsys.readouterr().err
         for value in ("0", "-2"):
-            code = run_cli("bench", f"--blocks={value}", "--synth-dim", 4)
+            code = run_cli("bench", f"--blocks={value}", *BENCH_FILES)
             assert code == 2
             assert "num_blocks must be >= 1" in capsys.readouterr().err
 
@@ -602,12 +615,11 @@ class TestCli:
     def test_bench_rejects_out_of_range_values_before_training(
         self, workdir, capsys, monkeypatch, flag, value, message
     ):
+        files = synth_bench_files(4, 60, 20, 4)
         trained = []
         monkeypatch.setattr(experiment, "train_opq",
                             lambda *a, **k: trained.append(a))
-        code = run_cli("bench", "--methods", "opq", "--blocks", "2",
-                       "--synth-dim", 4, "--synth-database", 60,
-                       "--synth-train-queries", 20, "--synth-eval-queries", 4,
+        code = run_cli("bench", "--methods", "opq", "--blocks", "2", *files,
                        f"{flag}={value}")
         assert code == 2
         captured = capsys.readouterr()
@@ -622,7 +634,7 @@ class TestCli:
         evaluate = parser.parse_args(["eval", "--model", "m", "--database", "d",
                                       "--codes", "c", "--eval-queries", "q",
                                       "--mode", "scalar"])
-        bench = parser.parse_args(["bench"])
+        bench = parser.parse_args(["bench", *BENCH_FILES])
         config = ExperimentConfig()
         assert bench.task == config.task
         assert tuple(bench.methods.split(",")) == config.methods
@@ -650,13 +662,40 @@ class TestCli:
         assert defaults(kmeans)["max_iters"] == config.kmeans_iters
 
     def test_bench_reports_cell_failures(self, workdir, capsys):
+        # An empty train-queries file reads as shape (0, 0).
         code = run_cli("bench", "--task", "scalar", "--methods", "opq,pairq",
                        "--blocks", "2", "-K", 4,
                        "--outer-iters", 0, "--kmeans-iters", 5,
-                       "--synth-dim", 4, "--synth-database", 50,
-                       "--synth-train-queries", 0, "--synth-eval-queries", 4)
+                       *synth_bench_files(4, 50, 0, 4), "--out-csv", "r.csv")
         assert code == 1
-        assert "FAILED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "pairq    M=2    FAILED: ValueError: need at least one query" in out
+        assert "opq      M=2    mse=" in out
+        with open("r.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], bool(r["error"])) for r in rows] == [
+            ("opq", False), ("pairq", True)]
+
+    def test_bench_prints_a_missing_relative_error(self, workdir, capsys):
+        # Every eval query equals every database row: each true distance is
+        # zero, so every pair is excluded and the cell has no relative error.
+        row = np.array([[1.0, 2.0, 3.0, 4.0]])
+        os.mkdir("d")
+        write_fvecs("d/database.fvecs", np.repeat(row, 50, axis=0))
+        write_fvecs("d/train_queries.fvecs",
+                    np.random.default_rng(0).standard_normal((20, 4)))
+        write_fvecs("d/eval_queries.fvecs", np.repeat(row, 3, axis=0))
+        code = run_cli("bench", "--task", "sqdist", "--methods", "opq",
+                       "--blocks", "2", "-K", 4,
+                       "--outer-iters", 0, "--kmeans-iters", 5,
+                       *BENCH_FILES, "--out-csv", "r.csv")
+        assert code == 0
+        assert "opq      M=2    rel_err=none " in capsys.readouterr().out
+        with open("r.csv") as fh:
+            (cell,) = csv.DictReader(fh)
+        assert cell["rel_dist_error"] == ""
+        assert cell["excluded_pairs"] == "150"
 
     def test_missing_file_is_reported(self, workdir, capsys):
         code = run_cli("encode", "--model", "missing.pairq",
