@@ -233,13 +233,24 @@ def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
     return opq_encode(model, database)
 
 
+def _read_rows(path, name: str) -> np.ndarray:
+    """A vector file every cell needs; an empty one has no rows and no
+    dimension, so it is refused before any training."""
+    rows = as_matrix(read_fvecs(path), name)
+    if rows.shape[0] == 0:
+        raise ValueError(f"{name} file {path} holds no vectors")
+    return rows
+
+
 def _load_data(config: ExperimentConfig) -> SyntheticData:
     if config.synthetic is not None:
         return gen_synthetic(config.synthetic, seed=config.seed)
+    # Only pairq cells read the training queries: an empty file fails
+    # those cells alone, and the opq cells still run.
     return SyntheticData(
-        database=as_matrix(read_fvecs(config.database_path), "database"),
+        database=_read_rows(config.database_path, "database"),
         train_queries=as_matrix(read_fvecs(config.train_queries_path), "train queries"),
-        eval_queries=as_matrix(read_fvecs(config.eval_queries_path), "eval queries"),
+        eval_queries=_read_rows(config.eval_queries_path, "eval queries"),
     )
 
 

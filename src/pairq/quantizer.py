@@ -5,9 +5,11 @@ Assignment (``_assign_batch``, behind Lloyd, ``pq_encode`` and every encoder
 built on it) walks the rows in tiles of about ``TILE_ENTRIES`` scores in one
 reused buffer. Each tile is one product ``[x, 1] @ [−2cᵀ; ‖c‖²]``, which is
 the score ``‖c‖² − 2 x·c``; the argmin goes straight into the labels and the
-winner's score is gathered. ``‖x‖²``, the same for every centroid of a row,
-plays no part in the pick: Lloyd adds it to the winner's score and clamps
-at 0 for the squared distance, and ``pq_encode`` keeps only the labels.
+winner's score is gathered. The rows with their column of ones are built
+once per Lloyd fit and once per encoded block, not once per pass. ``‖x‖²``,
+the same for every centroid of a row, plays no part in the pick: Lloyd adds
+it to the winner's score and clamps at 0 for the squared distance, and
+``pq_encode`` keeps only the labels.
 
 k-means++ seeding inverts the cumulative D² distribution with one uniform
 draw, the same draw and the same pick that ``Generator.choice(n, p=...)``
@@ -84,17 +86,24 @@ def _check_monotone(trace: list[float], context: str) -> None:
             )
 
 
-def _assign_batch(x, centroids):
-    """Nearest centroid per row of x and its score ``‖c‖² − 2 x·c``.
+def _append_ones(x):
+    """The rows of x with a column of ones appended, as ``_assign_batch``
+    takes them."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
 
-    Ties go to the lowest index. The columns are padded with +inf to a
-    multiple of 8 so that copies of a centroid tie exactly: BLAS edge
-    kernels would round the last columns differently. The scores equal a
-    product plus a separate ``‖c‖²`` add bit for bit (OpenBLAS 0.3.31) at
-    multiples of 8 centroids in batches of hundreds of rows (see README).
+
+def _assign_batch(rows1, centroids):
+    """Nearest centroid per row x of a block and its score ``‖c‖² − 2 x·c``.
+
+    ``rows1`` is ``_append_ones(x)``, built once by the caller: ``_lloyd``
+    once per fit, ``pq_encode`` once per block. Ties go to the lowest
+    index. The columns are padded with +inf to a multiple of 8 so that
+    copies of a centroid tie exactly: BLAS edge kernels would round the
+    last columns differently. The scores equal a product plus a separate
+    ``‖c‖²`` add bit for bit (OpenBLAS 0.3.31) at multiples of 8 centroids
+    in batches of hundreds of rows (see README).
     """
-    (n, s), k = x.shape, centroids.shape[0]
-    rows1 = np.hstack([x, np.ones((n, 1))])
+    n, (k, s) = rows1.shape[0], centroids.shape
     weights = np.zeros((s + 1, -(-k // 8) * 8))
     weights[s] = np.inf
     weights[:s, :k] = -2.0 * centroids.T
@@ -161,7 +170,10 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     returned centroids are always the per-cluster means of the returned
     assignments; empty clusters keep their previous position.
     """
-    x = np.ascontiguousarray(x)
+    # The extended rows are the fit's one copy of the block and x is a view
+    # of them, so the fit holds no second (N, s) array.
+    rows1 = _append_ones(x)
+    x = rows1[:, :-1]
     x_sq = np.einsum("ij,ij->i", x, x)
     k = centroids.shape[0]
     centroids = centroids.copy()
@@ -169,7 +181,7 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     trace: list[float] = []
     converged = False
     for _ in range(max_iters):
-        labels, best = _assign_batch(x, centroids)
+        labels, best = _assign_batch(rows1, centroids)
         min_d2 = np.maximum(x_sq + best, 0.0)
         trace.append(float(min_d2.sum()))
         _check_monotone(trace[-2:], context)
@@ -378,9 +390,8 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
     sub = codebook.centroids.shape[2]
     for j, block_centroids in enumerate(codebook.centroids):
-        codes[:, j] = _assign_batch(
-            arr[:, j * sub : (j + 1) * sub], block_centroids
-        )[0]
+        block = arr[:, j * sub : (j + 1) * sub]
+        codes[:, j] = _assign_batch(_append_ones(block), block_centroids)[0]
     return codes[0] if single else codes
 
 
@@ -406,13 +417,19 @@ def check_codes(
 
 
 def pq_decode(codebook: PQCodebook, codes) -> np.ndarray:
-    """Reconstruction by concatenating the selected sub-centroids."""
+    """Reconstruction by concatenating the selected sub-centroids.
+
+    One flat gather: code c of block j is row ``c + K·j`` of the centroids
+    viewed as (M·K, s), and one ``take`` of those rows copies every
+    sub-centroid into place.
+    """
     codes = np.asarray(codes)
     single = codes.ndim == 1
     arr = check_codes(codes, codebook.num_blocks, codebook.codebook_size)
-    arr = arr.astype(np.int64, copy=False)
-    blocks = np.arange(codebook.num_blocks)
-    out = codebook.centroids[blocks, arr].reshape(arr.shape[0], codebook.dim)
+    m, k, s = codebook.centroids.shape
+    rows = np.add(arr, k * np.arange(m), dtype=np.intp)
+    out = codebook.centroids.reshape(m * k, s).take(rows, axis=0)
+    out = out.reshape(arr.shape[0], m * s)
     return out[0] if single else out
 
 

@@ -11,6 +11,7 @@ from pairq.estimator import (
     build_lut_sqdist,
     compute_mse_table,
 )
+from pairq.datasets import read_ivecs, write_ivecs
 from pairq.metrics import estimate_batch
 from pairq.quantizer import (
     OPQModel,
@@ -19,6 +20,12 @@ from pairq.quantizer import (
     pq_decode,
     reconstruction_error,
     train_opq,
+)
+from pairq.transform import (
+    learn_scalar_transform,
+    learn_sqdist_transform,
+    pairq_encode,
+    train_pairq,
 )
 
 
@@ -141,6 +148,130 @@ class TestAdcScan:
         for dtype in (bool, float):
             with pytest.raises(ValueError, match="integers"):
                 adc_scan(table, np.ones((2, 2), dtype=dtype))
+
+
+# Every integer dtype ``check_codes`` accepts.
+CODE_DTYPES = [np.uint8, np.int8, np.int16, np.uint16,
+               np.int32, np.uint32, np.int64, np.uint64]
+LAYOUTS = ["c-order", "column-slice", "fortran", "negative-strides"]
+
+
+def code_layout(codes, layout):
+    """The same code values held in the given memory layout."""
+    if layout == "column-slice":
+        wide = np.zeros((codes.shape[0], 2 * codes.shape[1] + 1), codes.dtype)
+        wide[:, 1::2] = codes
+        return wide[:, 1::2]
+    if layout == "fortran":
+        return np.asfortranarray(codes)
+    if layout == "negative-strides":
+        return codes[::-1, ::-1].copy()[::-1, ::-1]
+    return np.ascontiguousarray(codes)
+
+
+def assert_same_bits(actual, expected):
+    """Equal values and equal bit patterns, so a -0.0 cannot pass for 0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def block_order_scan(table, codes):
+    """Each estimate as a sum from 0.0, adding ``table[j, c[j]]`` one block
+    at a time in index order."""
+    out = np.empty(len(codes))
+    for i, code in enumerate(codes):
+        total = 0.0
+        for j, c in enumerate(code):
+            total = total + table[j, int(c)]
+        out[i] = total
+    return out
+
+
+def element_decode(centroids, codes):
+    """Reconstruction copied one sub-centroid at a time."""
+    m, _, s = centroids.shape
+    out = np.empty((len(codes), m * s))
+    for i, code in enumerate(codes):
+        for j, c in enumerate(code):
+            out[i, j * s : (j + 1) * s] = centroids[j, int(c)]
+    return out
+
+
+class TestGathersKeepTheirBits:
+    """The scan and the decode gather with ``take``; neither may move a
+    bit against the plain per-element definitions, for any code dtype or
+    layout."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("dtype", CODE_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_scan_is_the_block_order_sum(self, dtype, layout):
+        rng = np.random.default_rng(20)
+        table = rng.standard_normal((5, 100)) * 10.0 ** rng.integers(-8, 8, (5, 100))
+        table[rng.random(table.shape) < 0.1] = -0.0
+        codes = rng.integers(0, 100, size=(300, 5)).astype(dtype)
+        expected = block_order_scan(table, codes)
+        held = code_layout(codes, layout)
+        assert_same_bits(adc_scan(table, held), expected)
+        assert_same_bits(adc_scan(table, held[:1]), expected[:1])
+        single = adc_scan(table, held[0])
+        assert isinstance(single, float)
+        assert_same_bits(single, expected[0])
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_negative_zero_table_sums_to_positive_zero(self, dtype):
+        # The sum starts from +0.0, and 0.0 + -0.0 is +0.0.
+        table = np.full((3, 4), -0.0)
+        codes = np.array([[0, 1, 2], [3, 3, 3]], dtype=dtype)
+        out = adc_scan(table, codes)
+        assert_same_bits(out, block_order_scan(table, codes))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("dtype", CODE_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_decode_copies_each_sub_centroid(self, dtype, layout):
+        rng = np.random.default_rng(21)
+        centroids = rng.standard_normal((4, 100, 3))
+        centroids[0, :5] = -0.0
+        book = PQCodebook(centroids=centroids)
+        codes = rng.integers(0, 100, size=(200, 4)).astype(dtype)
+        codes[:3, 0] = [0, 1, 2]
+        expected = element_decode(centroids, codes)
+        held = code_layout(codes, layout)
+        assert_same_bits(pq_decode(book, held), expected)
+        assert_same_bits(pq_decode(book, held[0]), expected[0])
+
+    def test_decode_of_a_strided_codebook(self):
+        rng = np.random.default_rng(22)
+        centroids = rng.standard_normal((3, 16, 8))[:, ::2, 1::2]
+        codes = rng.integers(0, 8, size=(50, 3)).astype(np.uint8)
+        assert_same_bits(pq_decode(PQCodebook(centroids=centroids), codes),
+                         element_decode(centroids, codes))
+
+    def test_estimates_equal_for_uint8_and_ivecs_codes(self, tmp_path):
+        # Encoders give uint8 codes; `pairq encode` files read back as int32.
+        rng = np.random.default_rng(23)
+        x, model = trained_model(rng, n=500, dim=8, blocks=4, k=16)
+        queries = rng.standard_normal((4, 8))
+        bc = BiasCorrected(opq=model, mse=compute_mse_table(model, x))
+        opq_codes = opq_encode(model, x)
+        methods = [(model, "scalar", opq_codes), (model, "sqdist", opq_codes),
+                   (bc, "sqdist", opq_codes)]
+        for kind, learn in (("scalar", learn_scalar_transform),
+                            ("sqdist", learn_sqdist_transform)):
+            pair = train_pairq(learn(queries), x, 4, 16, outer_iters=1,
+                               kmeans_iters=4, seed=0)
+            methods.append((pair, kind, pairq_encode(pair, x)))
+        for method, kind, codes in methods:
+            assert codes.dtype == np.uint8
+            write_ivecs(tmp_path / "codes.ivecs", codes)
+            held = {"int32": read_ivecs(tmp_path / "codes.ivecs"),
+                    "int64": codes.astype(np.int64)}
+            assert held["int32"].dtype == np.int32
+            for q in queries:
+                expected = estimate_batch(method, q, codes, kind)
+                for other in held.values():
+                    assert_same_bits(estimate_batch(method, q, other, kind), expected)
 
 
 class TestMseTable:

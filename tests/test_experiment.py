@@ -627,6 +627,28 @@ class TestCli:
         assert "FAILED" not in captured.out
         assert trained == []
 
+    @pytest.mark.parametrize("sizes, name", [
+        ((0, 20, 4), "database"),
+        ((60, 20, 0), "eval queries"),
+    ], ids=["database", "eval-queries"])
+    def test_bench_rejects_an_empty_file_before_training(
+        self, workdir, capsys, monkeypatch, sizes, name
+    ):
+        # An empty file reads as shape (0, 0): no rows and no dimension.
+        files = synth_bench_files(4, *sizes)
+        fitted = []
+        monkeypatch.setattr(experiment, "fit_method",
+                            lambda *a, **k: fitted.append(a))
+        code = run_cli("bench", "--methods", "opq,pairq", "--blocks", "2",
+                       "-K", 4, *files, "--out-csv", "r.csv")
+        assert code == 2
+        captured = capsys.readouterr()
+        path = files[files.index(f"--{name.replace(' ', '-')}") + 1]
+        assert f"error: {name} file {path} holds no vectors" in captured.err
+        assert "FAILED" not in captured.out
+        assert fitted == []
+        assert not os.path.exists("r.csv")
+
     def test_defaults_match_the_grid_and_the_trainers(self):
         parser = build_parser()
         train = parser.parse_args(["train", "--mode", "scalar", "--method", "opq",

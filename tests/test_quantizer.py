@@ -12,6 +12,7 @@ from pairq.quantizer import (
     TILE_ENTRIES,
     OPQModel,
     PQCodebook,
+    _append_ones,
     _assign_batch,
     _kmeans_pp_init,
     _lloyd,
@@ -206,7 +207,7 @@ class TestAssignBatch:
     @pytest.mark.parametrize("k,n,s", list(assign_cases()))
     def test_matches_brute_force(self, k, n, s):
         x, centroids = assign_case_data(k, n, s)
-        labels, best = _assign_batch(x, centroids)
+        labels, best = _assign_batch(_append_ones(x), centroids)
         min_d2 = lloyd_min_d2(x, best)
         assert labels.shape == (n,) and min_d2.shape == (n,)
         if n == 0:
@@ -242,7 +243,7 @@ class TestAssignBatch:
         rng = np.random.default_rng(seed)
         x = rng.integers(-4, 5, size=(n, dim)).astype(float)
         centroids = rng.integers(-4, 5, size=(k, dim)).astype(float)
-        labels, best = _assign_batch(x, centroids)
+        labels, best = _assign_batch(_append_ones(x), centroids)
         min_d2 = lloyd_min_d2(x, best)
         d2 = exact_sq_dists(x, centroids)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
@@ -258,7 +259,8 @@ class TestEncodeMatchesLloyd:
         x, centroids = assign_case_data(k, n, s)
         codes = pq_encode(PQCodebook(centroids=centroids[None]), x)
         assert codes.shape == (n, 1)
-        np.testing.assert_array_equal(codes[:, 0], _assign_batch(x, centroids)[0])
+        labels, _ = _assign_batch(_append_ones(x), centroids)
+        np.testing.assert_array_equal(codes[:, 0], labels)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -277,7 +279,7 @@ class TestEncodeMatchesLloyd:
         codes = pq_encode(PQCodebook(centroids=centroids), x)
         for j in range(num_blocks):
             block = x[:, j * dim : (j + 1) * dim]
-            labels, _ = _assign_batch(block, centroids[j])
+            labels, _ = _assign_batch(_append_ones(block), centroids[j])
             np.testing.assert_array_equal(codes[:, j], labels)
             d2 = exact_sq_dists(block, centroids[j])
             np.testing.assert_array_equal(codes[:, j], d2.argmin(axis=1))
