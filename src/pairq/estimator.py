@@ -9,10 +9,6 @@ quantity directly, and tests hold the two routes against each other.
 The scan gathers each block's entries with one ``take`` on that block's
 table row and adds them to a zeroed float64 vector in block order, so an
 estimate is the same sum, bit for bit, whatever the codes' integer dtype.
-``take`` casts the code column to a contiguous index array first, which
-is cheaper than fancy indexing's per-element cast; int64 codes already
-are indices, and copying their strided column costs more than it saves,
-so they keep fancy indexing.
 
 Accumulation is float64 end to end.
 """
@@ -85,20 +81,18 @@ def adc_scan(lut, codes) -> np.ndarray:
 
     ``lut`` is a (num_blocks, K) table. A single (num_blocks,) code returns
     a float; a (N, num_blocks) batch returns a float64 vector. Each block's
-    entries are gathered with one ``row.take(codes[:, j])`` (fancy indexing
-    for int64 codes, see the module docstring) and added to a zeroed vector
-    in block index order. Codes go through ``check_codes``, so a wrong
-    block count, a non-integer dtype (bool included) or a code outside
-    [0, K) raises ValueError.
+    entries are gathered with one ``row.take(codes[:, j])`` and added to a
+    zeroed vector in block index order. Codes go through ``check_codes``,
+    so a wrong block count, a non-integer dtype (bool included) or a code
+    outside [0, K) raises ValueError.
     """
     table = as_matrix(lut, "lut")
     codes = np.asarray(codes)
     single = codes.ndim == 1
     arr = check_codes(codes, *table.shape)
-    intp_codes = arr.dtype == np.intp
     out = np.zeros(arr.shape[0])
     for j, row in enumerate(table):
-        out += row[arr[:, j]] if intp_codes else row.take(arr[:, j])
+        out += row.take(arr[:, j])
     return float(out[0]) if single else out
 
 
