@@ -11,15 +11,35 @@ the same for every centroid of a row, plays no part in the pick: Lloyd adds
 it to the winner's score and clamps at 0 for the squared distance, and
 ``pq_encode`` keeps only the labels.
 
-k-means++ seeding inverts the cumulative D² distribution with one uniform
-draw, the same draw and the same pick that ``Generator.choice(n, p=...)``
-makes, without its per-call checks. D² lives on a transposed copy of the
-block and is summed coordinate by coordinate, so each step is a few calls
-over all points at once. That sum differs from a per-row ``einsum`` in the
-last bits for 37–60% of the points (at most 8.6e-16 relative, s = 8 to 32,
-20k Gaussian points), but D² only weights the draw, and every centroid is
-an exact copy of a row: a pick moves only if the uniform lands within about
-N·ε of a step of the CDF, about 1e-12 per draw at N = 20k.
+k-means++ seeding makes the draws of ``Generator.choice(n, p=D²/ΣD²)`` with
+the same uniforms, about six passes over the N points per draw:
+
+- The anchor a is the block mean. The rows y = x − a go once into a
+  contiguous (s + 2, N) array with a row ‖y‖² and a row of ones, so the D²
+  of every row to a centroid c is one matrix-vector product with
+  [−2(c − a), 1, ‖c − a‖²], the product form ‖y‖² + ‖c − a‖² − 2(c − a)·y.
+  The anchor keeps the norms, and so the rounding, at the spread of the
+  block instead of its offset.
+- The margin. With u = ε/2 and γₙ = nu/(1 − nu) (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, ch. 3), and Y = ‖x − a‖², C = ‖c − a‖²:
+  the product of s + 2 terms whose magnitudes sum to at most 2(Y + C) is off
+  by at most 2γ_{s+2}(Y + C), the rounded Y and C add γ_s(Y + C), rounding y
+  and c − a adds 4u(Y + C), and the difference form Σ(x − c)² is itself off
+  by at most 2γ_{s+2}(Y + C). So the two forms agree within
+  6γ_{s+2}(Y + C). Every product-form value at or below that bound, taken
+  with the largest Y of the block, is recomputed in the difference form on
+  the original rows. The chosen row and its duplicates therefore get D²
+  exactly 0, so the sampling stays without replacement, and no D² is
+  negative.
+- The draw inverts the CDF in two levels. D² sits in a zero-padded buffer
+  of whole chunks of ``SEED_CHUNK`` points; a draw sums each chunk, takes
+  the cumulative sum of those totals and finds the chunk of ``u·total``,
+  then takes the cumulative sum of that one chunk and finds the point.
+
+D² in product form and the chunked sums round differently from the
+``choice`` reference. D² only weights the draw, and every centroid is an
+exact copy of a row, so a pick can move only when the uniform lands within
+about N·ε of a step of the CDF, about 1e-12 per draw at N = 20k.
 
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
@@ -54,6 +74,10 @@ MONOTONE_RTOL = 1e-9
 # and each product of a large batch stays above the size where OpenBLAS
 # switches to small-matrix kernels, which sum in another order.
 TILE_ENTRIES = 1 << 16
+
+# Points per chunk of the k-means++ draw: a draw sums every chunk, then
+# takes the cumulative sum of one.
+SEED_CHUNK = 512
 
 
 @dataclass(eq=False)
@@ -201,43 +225,86 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     )
 
 
+def _seed_d2(x):
+    """The D² step of k-means++ seeding on the rows of block x.
+
+    Returns ``d2_to``: ``d2_to(c, out)`` writes the squared distance from
+    every row to c into ``out`` and returns ``out``. See the module
+    docstring for the anchor, the product form and the margin.
+    """
+    n, s = x.shape
+    # Rows y = x − a of an (s + 2, N) array, then ‖y‖² and a row of ones:
+    # one product with [−2(c − a), 1, ‖c − a‖²] is the whole D² step.
+    rows = np.empty((s + 2, n))
+    rows[:s] = x.T
+    anchor = rows[:s].mean(axis=1)
+    rows[:s] -= anchor[:, None]
+    np.einsum("ij,ij->j", rows[:s], rows[:s], out=rows[s])
+    rows[s + 1] = 1.0
+    u = np.finfo(np.float64).eps / 2
+    coef = 6 * (s + 2) * u / (1 - (s + 2) * u)
+    y_sq_max = rows[s].max()
+    weights = np.ones(s + 2)
+
+    def d2_to(c, out):
+        cc = c - anchor
+        np.multiply(cc, -2.0, out=weights[:s])
+        weights[s + 1] = cc @ cc
+        np.matmul(weights, rows, out=out)
+        # Within the margin: the difference form, exact 0 for copies of c.
+        low = np.flatnonzero(out <= coef * (y_sq_max + weights[s + 1]))
+        diff = x[low] - c
+        out[low] = np.einsum("ij,ij->i", diff, diff)
+        return out
+
+    return d2_to
+
+
 def _kmeans_pp_init(x, k, rng):
     """Seeding by squared-distance weighted sampling without replacement.
 
-    D² is kept over a transposed copy of the block, one contiguous row per
-    coordinate, and summed coordinate by coordinate, so each step runs over
-    all points at once in reused buffers.
+    D² comes from ``_seed_d2``: the anchored product form, with every value
+    within the rounding margin recomputed in the difference form (module
+    docstring). It sits in a zero-padded buffer of whole chunks of
+    ``SEED_CHUNK`` points, and each draw inverts the cumulative distribution
+    in two levels: chunk totals first, then the points of the one chunk the
+    uniform lands in. The uniforms and the fallback to ``rng.integers(n)``
+    once every D² is 0 are those of ``Generator.choice``, so a pick differs
+    from it only when the uniform lands within about N·ε of a CDF step.
     """
     n, s = x.shape
     centroids = np.empty((k, s))
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
+    centroids[0] = x[int(rng.integers(n))]
     if k == 1:
         return centroids
-    coords = np.ascontiguousarray(x.T)
-    d2, cand, tmp, cdf = (np.empty(n) for _ in range(4))
-
-    def sq_dists(c, out):
-        out.fill(0.0)
-        for j in range(s):
-            np.subtract(coords[j], c[j], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(out, tmp, out=out)
-
-    sq_dists(centroids[0], d2)
+    d2_to = _seed_d2(x)
+    chunks = -(-n // SEED_CHUNK)
+    buf = np.zeros(chunks * SEED_CHUNK)
+    d2, cand = buf[:n], np.empty(n)
+    totals, cdf = np.empty(chunks), np.empty(chunks)
+    by_chunk = buf.reshape(chunks, SEED_CHUNK)
+    d2_to(centroids[0], d2)
     for i in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            np.divide(d2, total, out=tmp)
-            np.cumsum(tmp, out=cdf)
-            cdf /= cdf[-1]
-            pick = int(cdf.searchsorted(rng.random(), side="right"))
+        by_chunk.sum(axis=1, out=totals)
+        np.cumsum(totals, out=cdf)
+        if cdf[-1] > 0.0:
+            target = rng.random() * cdf[-1]
+            j = min(int(cdf.searchsorted(target, side="right")), chunks - 1)
+            if j:
+                target -= cdf[j - 1]
+            inner = np.cumsum(by_chunk[j])
+            pick = int(inner.searchsorted(target, side="right"))
+            if pick < SEED_CHUNK:
+                pick += j * SEED_CHUNK
+            else:
+                # Rounding put the target past the chunk's last step: take
+                # the last point with weight, as the one-level CDF would.
+                pick = int(np.flatnonzero(buf[: (j + 1) * SEED_CHUNK])[-1])
         else:
             pick = int(rng.integers(n))
         centroids[i] = x[pick]
         if i + 1 < k:
-            sq_dists(centroids[i], cand)
-            np.minimum(d2, cand, out=d2)
+            np.minimum(d2, d2_to(centroids[i], cand), out=d2)
     return centroids
 
 
@@ -256,7 +323,7 @@ def kmeans(
     Raises:
         ValueError: on empty data, k < 1, k > N, or non-finite input.
     """
-    x = np.ascontiguousarray(as_matrix(points, "points"))
+    x = as_matrix(points, "points")
     if x.shape[0] == 0:
         raise ValueError("points is empty")
     if k < 1:

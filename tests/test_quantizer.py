@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairq.quantizer import (
+    SEED_CHUNK,
     TILE_ENTRIES,
     OPQModel,
     PQCodebook,
@@ -16,6 +17,7 @@ from pairq.quantizer import (
     _assign_batch,
     _kmeans_pp_init,
     _lloyd,
+    _seed_d2,
     apply_rotation,
     kmeans,
     opq_decode,
@@ -323,17 +325,32 @@ class TestSeedingStream:
         (10000, 17, 64, "columns"),  # a bench-sqdist block (129 columns padded to 136)
         (3000, 4, 32, "offset"),     # a 1e6 common offset
         (500, 1, 32, "normal"),      # one coordinate per block
+        (SEED_CHUNK - 1, 3, 48, "normal"),  # one chunk, its last point padding
+        (SEED_CHUNK + 1, 3, 48, "normal"),  # a second chunk of one point
+        (SEED_CHUNK // 4, 6, 40, "normal"),  # n < SEED_CHUNK
+        (2 * SEED_CHUNK + 1, 2, 2 * SEED_CHUNK + 1, "normal"),  # k = n, 3 chunks
+        (3000, 4, 32, "offset1e7"),
+        (3000, 4, 32, "offset1e8"),
+        (SEED_CHUNK + 88, 3, 64, "grid+offset"),  # duplicates at a 1e6 offset
+        (2 * SEED_CHUNK + 37, 5, 24, "tail"),  # weight only in the last chunk
     ])
     def test_matches_choice_draws(self, seed, n, dim, k, data):
         rng = np.random.default_rng(seed + 10_000)
         if data == "grid":
             x = rng.integers(0, 3, size=(n, dim)).astype(float)
+        elif data == "grid+offset":
+            x = rng.integers(0, 3, size=(n, dim)) + 1e6
         elif data == "identical":
             x = np.tile(rng.standard_normal(dim), (n, 1))
         elif data == "columns":
             x = rng.standard_normal((n, 3 * dim))[:, dim : 2 * dim]
-        elif data == "offset":
-            x = rng.standard_normal((n, dim)) + 1e6
+        elif data.startswith("offset"):
+            x = rng.standard_normal((n, dim)) + float(data[6:] or 1e6)
+        elif data == "tail":
+            # Zero rows, then a partial last chunk of distinct rows: unless
+            # the first pick is a tail row, every draw's weight is there.
+            x = np.zeros((n, dim))
+            x[-37:] = rng.standard_normal((37, dim))
         else:
             x = rng.standard_normal((n, dim)) * np.linspace(1.0, 4.0, dim)
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -341,6 +358,62 @@ class TestSeedingStream:
         want = choice_seeding(x, k, reference)
         np.testing.assert_array_equal(got, want)
         assert ours.random() == reference.random()
+
+
+    @pytest.mark.parametrize("n", [SEED_CHUNK, 2 * SEED_CHUNK + 37])
+    def test_top_uniform_picks_last_weighted_point(self, n):
+        # The largest uniform below 1 lands on the last step of the CDF,
+        # as in Generator.choice, also where rounding takes the target past
+        # the end of the last chunk.
+        class TopUniform:
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        x = np.random.default_rng(23).standard_normal((n, 3))
+        got = _kmeans_pp_init(x, 5, TopUniform())
+        np.testing.assert_array_equal(got, x[[0, n - 1, n - 2, n - 3, n - 4]])
+
+
+class TestSeedD2:
+    """The D² step: product form on anchored rows, difference form near 0."""
+
+    @pytest.mark.parametrize("data", ["grid+offset", "normal+offset", "normal"])
+    def test_exact_zeros_and_margin(self, data):
+        rng = np.random.default_rng(21)
+        n, s = 3000, 6
+        if data == "grid+offset":
+            x = rng.integers(0, 3, size=(n, s)) + 1e6
+        else:
+            x = rng.standard_normal((n, s)) * np.linspace(1.0, 5.0, s)
+            x[1::7] = x[0]  # duplicates of row 0
+            if data == "normal+offset":
+                x += 1e6
+        d2_to = _seed_d2(x)
+        y_sq = np.einsum("ij,ij->i", x - x.mean(axis=0), x - x.mean(axis=0))
+        u = np.finfo(float).eps / 2
+        gamma = (s + 2) * u / (1 - (s + 2) * u)
+        for i in [0, 5, n - 1]:  # row 0 has duplicates in every case
+            c = x[i].copy()
+            got = d2_to(c, np.empty(n))
+            want = np.einsum("ij,ij->i", x - c, x - c)
+            same = (x == c).all(axis=1)
+            assert (got[same] == 0.0).all()
+            assert (got[~same] > 0.0).all()
+            cc = c - x.mean(axis=0)
+            margin = 6 * gamma * (y_sq + cc @ cc)
+            assert (np.abs(got - want) <= margin).all()
+
+    def test_kmeans_on_a_column_view(self):
+        # kmeans reads a column slice in place; the fit keeps every bit.
+        x = np.random.default_rng(22).standard_normal((3000, 24))
+        view = kmeans(x[:, 8:16], 32, max_iters=5, seed=4)
+        copy = kmeans(np.ascontiguousarray(x[:, 8:16]), 32, max_iters=5, seed=4)
+        np.testing.assert_array_equal(view.centroids, copy.centroids)
+        np.testing.assert_array_equal(view.assignments, copy.assignments)
+        assert view.trace == copy.trace
 
 
 class TestTrainPQ:
