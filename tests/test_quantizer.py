@@ -137,6 +137,15 @@ class TestKMeans:
         with pytest.raises(ValueError, match="2-dimensional"):
             kmeans(np.zeros(5), 1)
 
+    def test_column_view_fits_like_a_copy(self):
+        # kmeans reads a column slice in place; the fit keeps every bit.
+        x = np.random.default_rng(22).standard_normal((3000, 24))
+        view = kmeans(x[:, 8:16], 32, max_iters=5, seed=4)
+        copy = kmeans(np.ascontiguousarray(x[:, 8:16]), 32, max_iters=5, seed=4)
+        np.testing.assert_array_equal(view.centroids, copy.centroids)
+        np.testing.assert_array_equal(view.assignments, copy.assignments)
+        assert view.trace == copy.trace
+
 
 def assign(x, centroids) -> int:
     """Nearest-centroid index through a one-block codebook."""
@@ -405,15 +414,6 @@ class TestSeedD2:
             cc = c - x.mean(axis=0)
             margin = 6 * gamma * (y_sq + cc @ cc)
             assert (np.abs(got - want) <= margin).all()
-
-    def test_kmeans_on_a_column_view(self):
-        # kmeans reads a column slice in place; the fit keeps every bit.
-        x = np.random.default_rng(22).standard_normal((3000, 24))
-        view = kmeans(x[:, 8:16], 32, max_iters=5, seed=4)
-        copy = kmeans(np.ascontiguousarray(x[:, 8:16]), 32, max_iters=5, seed=4)
-        np.testing.assert_array_equal(view.centroids, copy.centroids)
-        np.testing.assert_array_equal(view.assignments, copy.assignments)
-        assert view.trace == copy.trace
 
 
 class TestTrainPQ:
