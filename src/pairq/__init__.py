@@ -34,13 +34,10 @@ from .experiment import (
     write_report_csv,
     write_report_json,
 )
-from .linalg import SymEig, procrustes, psd_sqrt, pseudo_inverse, sym_eig
+from .linalg import procrustes, psd_sqrt, pseudo_inverse
 from .metrics import (
     EvalStats,
     estimate_batch,
-    eval_bias,
-    eval_relative_dist_error,
-    eval_scalar_mse,
     evaluate_method,
     true_values,
 )
@@ -65,8 +62,6 @@ from .transform import (
     learn_sqdist_transform,
     lift_point,
     pairq_encode,
-    pairq_estimate_scalar,
-    pairq_estimate_sqdist,
     pairq_query_vector,
     train_pairq,
     transform_database,
@@ -75,7 +70,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SymEig", "sym_eig", "psd_sqrt", "pseudo_inverse", "procrustes",
+    "psd_sqrt", "pseudo_inverse", "procrustes",
     "KMeansResult", "kmeans",
     "PQCodebook", "train_pq", "pq_encode", "pq_decode",
     "OPQModel", "train_opq", "opq_encode", "opq_decode",
@@ -83,14 +78,12 @@ __all__ = [
     "PairTransform", "learn_scalar_transform", "learn_sqdist_transform",
     "lift_point", "transform_database",
     "PairQModel", "train_pairq", "pairq_encode", "pairq_query_vector",
-    "pairq_estimate_scalar", "pairq_estimate_sqdist",
     "build_lut_scalar", "build_lut_sqdist", "adc_scan",
     "MseTable", "compute_mse_table", "BiasCorrected",
     "read_fvecs", "write_fvecs", "read_ivecs", "write_ivecs",
     "SyntheticSpec", "SyntheticData", "gen_synthetic",
     "second_moment_condition",
     "EvalStats", "evaluate_method", "estimate_batch", "true_values",
-    "eval_scalar_mse", "eval_relative_dist_error", "eval_bias",
     "ExperimentConfig", "CellResult", "Report", "run_experiment",
     "write_report_csv", "write_report_json",
     "load_model", "save_model",

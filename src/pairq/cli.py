@@ -26,7 +26,6 @@ import numpy as np
 from .datasets import (
     SyntheticSpec,
     gen_synthetic,
-    read_fvecs,
     read_ivecs,
     write_fvecs,
     write_ivecs,
@@ -38,6 +37,7 @@ from .experiment import (
     encode,
     fit_method,
     normalize_rows,
+    read_rows,
     run_experiment,
     task_kind,
     write_report_csv,
@@ -54,8 +54,8 @@ from .serialize import load_model, save_model
 from .transform import PairQModel
 
 
-def _load_vectors(path, mode: str) -> np.ndarray:
-    data = read_fvecs(path).astype(np.float64)
+def _load_vectors(path, name: str, mode: str) -> np.ndarray:
+    data = read_rows(path, name).astype(np.float64)
     return normalize_rows(data) if mode == "cosine" else data
 
 
@@ -102,10 +102,10 @@ def _cmd_train(args) -> int:
         print("error: --train-queries is required for the pairq method",
               file=sys.stderr)
         return 2
-    database = _load_vectors(args.database, args.mode)
+    database = _load_vectors(args.database, "database", args.mode)
     queries = None
     if args.method == "pairq":
-        queries = _load_vectors(args.train_queries, args.mode)
+        queries = _load_vectors(args.train_queries, "train queries", args.mode)
     model = fit_method(
         args.mode, args.method, database, queries, args.blocks,
         args.codebook_size, outer_iters=args.outer_iters,
@@ -125,7 +125,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_encode(args) -> int:
     model, _ = load_model(args.model)
-    database = _load_vectors(args.database, args.mode)
+    database = _load_vectors(args.database, "database", args.mode)
     codes = encode(model, database)
     write_ivecs(args.out, codes.astype(np.int32))
     print(f"wrote {args.out} ({codes.shape[0]} codes, {codes.shape[1]} blocks)")
@@ -145,8 +145,8 @@ def _cmd_eval(args) -> int:
                   file=sys.stderr)
             return 2
         method = BiasCorrected(opq=model, mse=mse)
-    database = _load_vectors(args.database, args.mode)
-    queries = _load_vectors(args.eval_queries, args.mode)
+    database = _load_vectors(args.database, "database", args.mode)
+    queries = _load_vectors(args.eval_queries, "eval queries", args.mode)
     codes = read_ivecs(args.codes)
     stats = evaluate_method(
         method, task_kind(args.mode), queries, database, codes,

@@ -233,10 +233,11 @@ def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
     return opq_encode(model, database)
 
 
-def _read_rows(path, name: str) -> np.ndarray:
-    """A vector file every cell needs; an empty one has no rows and no
-    dimension, so it is refused before any training."""
-    rows = as_matrix(read_fvecs(path), name)
+def read_rows(path, name: str) -> np.ndarray:
+    """An fvecs file that the grid or a CLI command cannot run without. An
+    empty one has no rows and no dimension, so it is refused before any
+    training or encoding; only the row count is checked."""
+    rows = read_fvecs(path)
     if rows.shape[0] == 0:
         raise ValueError(f"{name} file {path} holds no vectors")
     return rows
@@ -248,9 +249,11 @@ def _load_data(config: ExperimentConfig) -> SyntheticData:
     # Only pairq cells read the training queries: an empty file fails
     # those cells alone, and the opq cells still run.
     return SyntheticData(
-        database=_read_rows(config.database_path, "database"),
+        database=as_matrix(read_rows(config.database_path, "database"), "database"),
         train_queries=as_matrix(read_fvecs(config.train_queries_path), "train queries"),
-        eval_queries=_read_rows(config.eval_queries_path, "eval queries"),
+        eval_queries=as_matrix(
+            read_rows(config.eval_queries_path, "eval queries"), "eval queries"
+        ),
     )
 
 

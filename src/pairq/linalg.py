@@ -1,18 +1,16 @@
 """Dense linear algebra used by the quantizers and transforms.
 
 Everything here works on float64 arrays and never mutates its inputs. The
-four public operations are a symmetric eigendecomposition with a fixed
-ordering contract, a PSD matrix square root, a Moore-Penrose pseudoinverse
-with an explicit singular-value cutoff, and the orthogonal Procrustes solve.
+three public operations are a PSD matrix square root, a Moore-Penrose
+pseudoinverse with an explicit singular-value cutoff, and the orthogonal
+Procrustes solve.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-# Relative tolerance for the symmetry check in sym_eig.
+# Relative tolerance for the symmetry check in psd_sqrt.
 SYMMETRY_RTOL = 1e-10
 
 # Eigenvalue handling in psd_sqrt, both relative to the largest eigenvalue:
@@ -24,19 +22,6 @@ ZERO_EIG_RTOL = 1e-10
 # Singular values at or below this fraction of the largest are treated as
 # zero when inverting.
 PINV_CUTOFF_RTOL = 1e-10
-
-
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` are sorted in descending order and ``eigenvectors``
-    holds the matching orthonormal eigenvectors as columns, so that
-    ``eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T`` rebuilds the
-    input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -59,49 +44,36 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return out
 
 
-def sym_eig(a) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Args:
-        a: square symmetric matrix (symmetry checked up to a small relative
-            tolerance; the strictly symmetric average is what gets
-            decomposed).
-
-    Returns:
-        SymEig with descending eigenvalues and orthonormal eigenvector
-        columns in matching order.
-
-    Raises:
-        ValueError: if ``a`` is not square or not symmetric.
-    """
-    a = as_matrix(a, "a")
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric")
-    # Symmetrize so tiny asymmetries cannot leak into the decomposition.
-    sym = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(sym)
-    order = np.arange(n - 1, -1, -1)
-    return SymEig(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
 def psd_sqrt(g) -> np.ndarray:
     """Symmetric square root C of a PSD matrix, so that C.T @ C == g.
 
-    Eigenvalues slightly below zero (relative magnitude under
-    ``NEGATIVE_EIG_RTOL``) are treated as numerical noise and clamped to
-    zero, along with any positive values under ``ZERO_EIG_RTOL`` of the
-    largest. A genuinely negative spectrum raises.
+    ``g`` must be square and symmetric up to a small relative tolerance;
+    the strictly symmetric average is what gets decomposed. Eigenvalues
+    slightly below zero (relative magnitude under ``NEGATIVE_EIG_RTOL``)
+    are treated as numerical noise and clamped to zero, along with any
+    positive values under ``ZERO_EIG_RTOL`` of the largest. A genuinely
+    negative spectrum raises.
 
     Returns:
         The symmetric PSD root, same shape as ``g``. For the zero matrix
         the result is the zero matrix.
+
+    Raises:
+        ValueError: if ``g`` is not square, not symmetric, not finite or
+            not positive semidefinite.
     """
-    decomp = sym_eig(g)
-    w = decomp.eigenvalues.copy()
+    g = as_matrix(g, "a")
+    n, m = g.shape
+    if n != m:
+        raise ValueError(f"expected a square matrix, got shape {g.shape}")
+    scale = np.linalg.norm(g)
+    if np.linalg.norm(g - g.T) > SYMMETRY_RTOL * max(scale, 1e-300):
+        raise ValueError("matrix is not symmetric")
+    # Symmetrize so tiny asymmetries cannot leak into the decomposition,
+    # and sort the eigenpairs descending.
+    w, v = np.linalg.eigh(0.5 * (g + g.T))
+    order = np.arange(n - 1, -1, -1)
+    w, v = w[order], v[:, order]
     largest = max(w[0], 0.0)
     if largest == 0.0:
         # No positive mass at all: only an exactly-zero spectrum is PSD.
@@ -113,7 +85,6 @@ def psd_sqrt(g) -> np.ndarray:
             f"(eigenvalue {w[-1]:.3e} vs largest {largest:.3e})"
         )
     w[w < ZERO_EIG_RTOL * largest] = 0.0
-    v = decomp.eigenvectors
     root = (v * np.sqrt(w)) @ v.T
     # Exact symmetry keeps downstream C.T @ C == C @ C comparisons clean.
     return 0.5 * (root + root.T)

@@ -212,38 +212,3 @@ def evaluate_method(
     )
     return stats
 
-
-def eval_scalar_mse(
-    method, eval_queries, database, codes,
-    max_pairs: int = DEFAULT_PAIR_BUDGET, seed: int = 0,
-) -> float:
-    """Mean squared scalar-product estimation error over pairs."""
-    stats = evaluate_method(
-        method, SCALAR, eval_queries, database, codes, max_pairs, seed
-    )
-    return stats.mse
-
-
-def eval_relative_dist_error(
-    method, eval_queries, database, codes,
-    max_pairs: int = DEFAULT_PAIR_BUDGET, seed: int = 0,
-) -> float:
-    """Mean relative squared-distance error over pairs with non-degenerate
-    true distance."""
-    stats = evaluate_method(
-        method, SQDIST, eval_queries, database, codes, max_pairs, seed
-    )
-    if stats.mean_rel_error is None:
-        return float("nan")
-    return stats.mean_rel_error
-
-
-def eval_bias(
-    method, kind, eval_queries, database, codes,
-    max_pairs: int = DEFAULT_PAIR_BUDGET, seed: int = 0,
-) -> float:
-    """Mean signed estimation error (estimate minus truth) over pairs."""
-    stats = evaluate_method(
-        method, kind, eval_queries, database, codes, max_pairs, seed
-    )
-    return stats.mean_signed_error

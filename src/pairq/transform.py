@@ -31,7 +31,6 @@ from .quantizer import (
     OPQModel,
     opq_encode,
     pad_columns,
-    pq_decode,
     train_opq,
 )
 
@@ -177,14 +176,6 @@ def pairq_encode(model: PairQModel, database) -> np.ndarray:
     return opq_encode(model.opq, z)
 
 
-def _check_query_dim(model: PairQModel, v: np.ndarray) -> None:
-    if v.shape[0] != model.transform.source_dim:
-        raise ValueError(
-            f"query dimension {v.shape[0]} does not match transform "
-            f"source dimension {model.transform.source_dim}"
-        )
-
-
 def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
     """Query-side vector r with r . z_hat as the raw estimate.
 
@@ -194,45 +185,13 @@ def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
     tables directly.
     """
     v = as_vector(q, "q")
-    _check_query_dim(model, v)
+    if v.shape[0] != model.transform.source_dim:
+        raise ValueError(
+            f"query dimension {v.shape[0]} does not match transform "
+            f"source dimension {model.transform.source_dim}"
+        )
     if model.mode == SQDIST:
         v = _query_lift(v[None, :])[0]
     r = model.transform.pinv.T @ v
     return pad_columns(r[None, :], model.opq.dim)[0]
 
-
-def _decoded_estimate(model: PairQModel, r, code) -> float:
-    r = as_vector(r, "r")
-    if r.shape[0] != model.opq.dim:
-        raise ValueError(
-            f"query vector dimension {r.shape[0]} does not match "
-            f"quantizer dimension {model.opq.dim}"
-        )
-    r_rot = model.opq.rotation @ r
-    z_hat = pq_decode(model.opq.codebook, code)
-    return float(r_rot @ z_hat)
-
-
-def pairq_estimate_scalar(model: PairQModel, r, code) -> float:
-    """Scalar-product estimate for one encoded vector.
-
-    ``r`` must come from pairq_query_vector on a scalar-mode model. This
-    is the direct route (decode, then dot product); lookup-table scans
-    produce the same value for whole code lists.
-    """
-    if model.mode != SCALAR:
-        raise ValueError(f"model mode is {model.mode!r}, expected {SCALAR!r}")
-    return _decoded_estimate(model, r, code)
-
-
-def pairq_estimate_sqdist(model: PairQModel, q, r, code) -> float:
-    """Squared-distance estimate ||q||^2 + r . z_hat for one encoded vector.
-
-    Estimates can come out slightly negative when quantization error
-    exceeds a small true distance; they are returned as-is.
-    """
-    if model.mode != SQDIST:
-        raise ValueError(f"model mode is {model.mode!r}, expected {SQDIST!r}")
-    v = as_vector(q, "q")
-    _check_query_dim(model, v)
-    return float(v @ v) + _decoded_estimate(model, r, code)

@@ -15,7 +15,7 @@ import numpy as np
 from pairq.datasets import SyntheticSpec, gen_synthetic
 from pairq.estimator import BiasCorrected, compute_mse_table
 from pairq.experiment import ExperimentConfig, run_experiment
-from pairq.metrics import estimate_batch, eval_bias, true_values
+from pairq.metrics import estimate_batch, evaluate_method, true_values
 from pairq.quantizer import kmeans, opq_decode, opq_encode, train_opq
 from pairq.transform import (
     learn_scalar_transform,
@@ -135,7 +135,8 @@ def test_04_scalar_mean_error_vanishes_at_fixed_point():
     codes = opq_encode(model, x)
     mean_norm = np.linalg.norm(x, axis=1).mean()
     worst = max(
-        abs(eval_bias(model, "scalar", q[None, :], x, codes))
+        abs(evaluate_method(model, "scalar", q[None, :], x, codes)
+            .mean_signed_error)
         / (1e-9 * np.linalg.norm(q) * mean_norm)
         for q in eval_q
     )
@@ -161,12 +162,15 @@ def test_05_distance_bias_equals_mse_correction():
         mse = compute_mse_table(model, x)
         mean_corr = float(mse.values[np.arange(m)[None, :], codes].sum(axis=1).mean())
         worst_rel = max(
-            abs(-eval_bias(model, "sqdist", q[None, :], x, codes) - mean_corr)
+            abs(-evaluate_method(model, "sqdist", q[None, :], x, codes)
+                .mean_signed_error - mean_corr)
             / mean_corr
             for q in eval_q
         )
         scale = np.mean([true_values(q, x, "sqdist").mean() for q in eval_q])
-        bc_bias = eval_bias(BiasCorrected(model, mse), "sqdist", eval_q, x, codes)
+        bc_bias = evaluate_method(
+            BiasCorrected(model, mse), "sqdist", eval_q, x, codes
+        ).mean_signed_error
         bc_ratio = abs(bc_bias) / (1e-9 * scale)
         ok = (
             ok
@@ -194,7 +198,8 @@ def test_06_transformed_estimators_unbiased_at_fixed_point():
     )
     scalar_codes = pairq_encode(scalar_model, x)
     worst_scalar = max(
-        abs(eval_bias(scalar_model, "scalar", q[None, :], x, scalar_codes))
+        abs(evaluate_method(scalar_model, "scalar", q[None, :], x, scalar_codes)
+            .mean_signed_error)
         / (1e-9 * np.linalg.norm(q) * mean_norm)
         for q in eval_q
     )
@@ -206,7 +211,7 @@ def test_06_transformed_estimators_unbiased_at_fixed_point():
     dist_codes = pairq_encode(dist_model, x)
     scale = np.mean([true_values(q, x, "sqdist").mean() for q in eval_q])
     dist_ratio = abs(
-        eval_bias(dist_model, "sqdist", eval_q, x, dist_codes)
+        evaluate_method(dist_model, "sqdist", eval_q, x, dist_codes).mean_signed_error
     ) / (1e-9 * scale)
 
     ok = (

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from pairq import experiment, metrics
+from pairq import cli, experiment, metrics
 from pairq.cli import build_parser, main
 from pairq.datasets import (
     SyntheticSpec,
@@ -648,6 +648,50 @@ class TestCli:
         assert "FAILED" not in captured.out
         assert fitted == []
         assert not os.path.exists("r.csv")
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("train", "--database", "database"),
+        ("train", "--train-queries", "train queries"),
+        ("encode", "--database", "database"),
+        ("eval", "--database", "database"),
+        ("eval", "--eval-queries", "eval queries"),
+    ], ids=["train-database", "train-queries", "encode-database",
+            "eval-database", "eval-queries"])
+    def test_commands_reject_an_empty_file_before_any_work(
+        self, workdir, capsys, monkeypatch, command, flag, name
+    ):
+        # An empty file reads as shape (0, 0): no rows and no dimension.
+        synth_bench_files(4, 60, 20, 4)
+        database, train_q, eval_q = BENCH_FILES[1::2]
+        assert run_cli("train", "--mode", "scalar", "--method", "pairq",
+                       "--database", database, "--train-queries", train_q,
+                       "-M", 2, "-K", 4, "--outer-iters", 0,
+                       "--kmeans-iters", 5, "--out", "m") == 0
+        assert run_cli("encode", "--model", "m", "--database", database,
+                       "--mode", "scalar", "--out", "c.ivecs") == 0
+        open("empty.fvecs", "wb").close()
+        args = {
+            "train": {"--mode": "scalar", "--method": "pairq",
+                      "--database": database, "--train-queries": train_q,
+                      "-M": 2, "-K": 4},
+            "encode": {"--model": "m", "--database": database,
+                       "--mode": "scalar"},
+            "eval": {"--model": "m", "--database": database,
+                     "--codes": "c.ivecs", "--eval-queries": eval_q,
+                     "--mode": "scalar"},
+        }[command]
+        args[flag] = "empty.fvecs"
+        work = []
+        for fn in ("fit_method", "encode", "evaluate_method"):
+            monkeypatch.setattr(cli, fn, lambda *a, **k: work.append(a))
+        capsys.readouterr()
+        code = run_cli(command, *(w for kv in args.items() for w in kv),
+                       "--out", "out")
+        assert code == 2
+        assert (f"error: {name} file empty.fvecs holds no vectors"
+                in capsys.readouterr().err)
+        assert work == []
+        assert not os.path.exists("out")
 
     def test_defaults_match_the_grid_and_the_trainers(self):
         parser = build_parser()

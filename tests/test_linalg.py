@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairq.linalg import procrustes, psd_sqrt, pseudo_inverse, sym_eig
+from pairq.linalg import procrustes, psd_sqrt, pseudo_inverse
 
 
 def rand_orthogonal(rng, n):
@@ -18,39 +18,19 @@ def rand_psd(rng, n, spread=3.0):
 
 
 class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        np.testing.assert_array_equal(w, np.ones(3))
-        np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_known_values(self):
-        w, v = sym_eig(np.diag([1.0, 4.0]))
-        np.testing.assert_allclose(w, [4.0, 1.0])
-        # Eigenvectors are axis-aligned up to sign.
-        np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-
-    def test_descending_order_and_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            n = int(rng.integers(2, 12))
-            a = rand_psd(rng, n)
-            a = a + a.T  # still symmetric, larger spread
-            w, v = sym_eig(a)
-            assert (np.diff(w) <= 1e-12 * max(1.0, abs(w[0]))).all()
-            np.testing.assert_allclose((v * w) @ v.T, a, atol=1e-8 * np.abs(a).max())
-            np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-10)
+    """The checks psd_sqrt makes before its symmetric eigendecomposition."""
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            sym_eig(np.ones((2, 3)))
+            psd_sqrt(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite|NaN"):
-            sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            psd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestPsdSqrt:

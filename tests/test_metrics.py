@@ -10,9 +10,6 @@ from pairq.estimator import (
 )
 from pairq.metrics import (
     estimate_batch,
-    eval_bias,
-    eval_relative_dist_error,
-    eval_scalar_mse,
     evaluate_method,
     evaluate_methods,
     true_values,
@@ -30,8 +27,6 @@ from pairq.transform import (
     learn_scalar_transform,
     learn_sqdist_transform,
     pairq_encode,
-    pairq_estimate_scalar,
-    pairq_estimate_sqdist,
     pairq_query_vector,
     train_pairq,
 )
@@ -81,8 +76,6 @@ class TestValueKernels:
     def test_rel_err_all_excluded_is_nan(self):
         stats = _stats("sqdist", [0.0, 0.0], [1.0, 1.0])
         assert stats.mean_rel_error is None and stats.excluded_pairs == 2
-        pairs = _pairs("sqdist", [0.0, 0.0], [1.0, 1.0])
-        assert np.isnan(eval_relative_dist_error(*pairs))
 
     def test_bias_sign_convention(self):
         # Underestimates come out negative.
@@ -215,6 +208,12 @@ def _decoded_opq(model, q, codes, kind):
     return ((z - q_rot) ** 2).sum(axis=1)
 
 
+def _decoded_pairq(model, q, codes, kind):
+    z = pq_decode(model.opq.codebook, codes)
+    est = z @ (model.opq.rotation @ pairq_query_vector(model, q))
+    return est + q @ q if kind == "sqdist" else est
+
+
 class TestScanMatchesDecode:
     """One table scan per query equals decoding every code and scoring the
     reconstruction, for every method, including one codeword per block,
@@ -253,12 +252,8 @@ class TestScanMatchesDecode:
             ))
             for kind, model in pair.items():
                 pair_codes = pairq_encode(model, db)
-                r = pairq_query_vector(model, q)
-                if kind == "scalar":
-                    direct = [pairq_estimate_scalar(model, r, c) for c in pair_codes]
-                else:
-                    direct = [pairq_estimate_sqdist(model, q, r, c) for c in pair_codes]
-                checks.append((estimate_batch(model, q, pair_codes, kind), direct))
+                checks.append((estimate_batch(model, q, pair_codes, kind),
+                               _decoded_pairq(model, q, pair_codes, kind)))
             for scan, direct in checks:
                 scale = max(1.0, float(np.abs(direct).max()))
                 np.testing.assert_allclose(scan, direct, rtol=0, atol=1e-12 * scale)
@@ -367,15 +362,7 @@ class TestEvaluateMethods:
 
 
 class TestPublicWrappers:
-    def test_wrappers_return_stats_fields(self):
-        rng, db, queries, model, codes = small_world()
-        stats = evaluate_method(model, "scalar", queries, db, codes)
-        assert eval_scalar_mse(model, queries, db, codes) == stats.mse
-        assert eval_bias(model, "scalar", queries, db, codes) == \
-            stats.mean_signed_error
-        sq = evaluate_method(model, "sqdist", queries, db, codes)
-        assert eval_relative_dist_error(model, queries, db, codes) == \
-            sq.mean_rel_error
+    """Whole-pipeline cases scored through the public evaluate_method."""
 
     def test_isotropic_transform_changes_nothing(self):
         # With an exactly isotropic query moment the transform is the
@@ -390,22 +377,21 @@ class TestPublicWrappers:
         pair_codes = pairq_encode(pair, db)
         plain_codes = opq_encode(plain, db)
         np.testing.assert_array_equal(pair_codes, plain_codes)
-        assert eval_scalar_mse(pair, eval_q, db, pair_codes) == \
-            eval_scalar_mse(plain, eval_q, db, plain_codes)
+        assert evaluate_method(pair, "scalar", eval_q, db, pair_codes).mse == \
+            evaluate_method(plain, "scalar", eval_q, db, plain_codes).mse
 
     def test_all_pairs_degenerate_gives_nan(self):
         db = np.zeros((10, 3))
         queries = np.zeros((2, 3))
         model = train_opq(db, 1, 1, outer_iters=0, kmeans_iters=2, seed=0)
         codes = opq_encode(model, db)
-        out = eval_relative_dist_error(model, queries, db, codes)
-        assert np.isnan(out)
+        stats = evaluate_method(model, "sqdist", queries, db, codes)
+        assert stats.mean_rel_error is None
 
     def test_negative_sqdist_estimates_are_kept(self):
         # A codeword whose norm coordinate is quantized far too low makes
         # the estimate negative; it must pass through unclamped.
-        from pairq.transform import PairQModel, PairTransform, \
-            pairq_estimate_sqdist, pairq_query_vector
+        from pairq.transform import PairQModel, PairTransform
 
         transform = PairTransform(
             mode="sqdist", source_dim=1, matrix=np.eye(2), pinv=np.eye(2),
@@ -414,9 +400,7 @@ class TestPublicWrappers:
         opq = OPQModel(rotation=np.eye(2), codebook=book, input_dim=2)
         model = PairQModel(transform=transform, opq=opq)
         q = np.zeros(1)
-        r = pairq_query_vector(model, q)
         code = np.array([0])
-        assert pairq_estimate_sqdist(model, q, r, code) == -5.0
         ests = estimate_batch(model, q, code[None, :], "sqdist")
         np.testing.assert_array_equal(ests, [-5.0])
         stats = evaluate_method(model, "sqdist", q[None, :],

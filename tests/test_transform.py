@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairq.linalg import ZERO_EIG_RTOL
+from pairq.metrics import estimate_batch
 from pairq.quantizer import opq_encode, pq_decode, reconstruction_error, train_opq
 from pairq.transform import (
     PairTransform,
@@ -13,8 +14,6 @@ from pairq.transform import (
     learn_sqdist_transform,
     lift_point,
     pairq_encode,
-    pairq_estimate_scalar,
-    pairq_estimate_sqdist,
     pairq_query_vector,
     train_pairq,
     transform_database,
@@ -250,11 +249,9 @@ class TestTrainPairQ:
         model = train_pairq(t, db, 1, 2, outer_iters=1, kmeans_iters=10, seed=0)
         z = transform_database(t, db)
         assert reconstruction_error(model.opq, z) <= 1e-20
-        r = pairq_query_vector(model, q[0])
-        codes = pairq_encode(model, db)
+        est = estimate_batch(model, q[0], pairq_encode(model, db), "scalar")
         for i in range(2):
-            est = pairq_estimate_scalar(model, r, codes[i])
-            np.testing.assert_allclose(est, q[0] @ db[i], atol=1e-9)
+            np.testing.assert_allclose(est[i], q[0] @ db[i], atol=1e-9)
 
 
 class TestQueryVector:
@@ -328,22 +325,20 @@ class TestEstimates:
         assert reconstruction_error(model.opq, transform_database(t, db)) <= 1e-18
         codes = pairq_encode(model, db)
         for qi in queries[:10]:
-            r = pairq_query_vector(model, qi)
+            est = estimate_batch(model, qi, codes[:5], "scalar")
             for i in range(5):
-                est = pairq_estimate_scalar(model, r, codes[i])
                 true = qi @ db[i]
-                assert abs(est - true) <= 1e-8 * max(1.0, abs(true))
+                assert abs(est[i] - true) <= 1e-8 * max(1.0, abs(true))
 
     def test_sqdist_estimate_exact_when_lossless(self):
         rng = np.random.default_rng(15)
         queries, t, db, model = full_rank_setup(rng, mode="sqdist")
         codes = pairq_encode(model, db)
         for qi in queries[:10]:
-            r = pairq_query_vector(model, qi)
+            est = estimate_batch(model, qi, codes[:5], "sqdist")
             for i in range(5):
-                est = pairq_estimate_sqdist(model, qi, r, codes[i])
                 true = ((qi - db[i]) ** 2).sum()
-                assert abs(est - true) <= 1e-8 * max(1.0, true)
+                assert abs(est[i] - true) <= 1e-8 * max(1.0, true)
 
     def test_scalar_matches_manual_decode_route(self):
         rng = np.random.default_rng(16)
@@ -352,11 +347,11 @@ class TestEstimates:
         db = rng.standard_normal((200, 6))
         model = train_pairq(t, db, 2, 8, outer_iters=2, kmeans_iters=10, seed=1)
         codes = pairq_encode(model, db)
-        r = pairq_query_vector(model, q[0])
-        r_rot = model.opq.rotation @ r
+        r_rot = model.opq.rotation @ pairq_query_vector(model, q[0])
+        est = estimate_batch(model, q[0], codes[:20], "scalar")
         for i in range(20):
             manual = float(r_rot @ pq_decode(model.opq.codebook, codes[i]))
-            assert pairq_estimate_scalar(model, r, codes[i]) == pytest.approx(manual)
+            assert est[i] == pytest.approx(manual)
 
     def test_zero_query_estimates_zero(self):
         rng = np.random.default_rng(17)
@@ -365,37 +360,7 @@ class TestEstimates:
         db = rng.standard_normal((50, 4))
         model = train_pairq(t, db, 2, 4, outer_iters=1, kmeans_iters=5, seed=0)
         codes = pairq_encode(model, db)
-        r = pairq_query_vector(model, np.zeros(4))
-        assert pairq_estimate_scalar(model, r, codes[0]) == 0.0
-
-    def test_mode_mismatch_raises(self):
-        rng = np.random.default_rng(18)
-        q = rng.standard_normal((30, 4))
-        db = rng.standard_normal((40, 4))
-        scalar_model = train_pairq(learn_scalar_transform(q), db, 1, 4,
-                                   outer_iters=0, kmeans_iters=5, seed=0)
-        sq_model = train_pairq(learn_sqdist_transform(q), db, 1, 4,
-                               outer_iters=0, kmeans_iters=5, seed=0)
-        r = pairq_query_vector(scalar_model, q[0])
-        with pytest.raises(ValueError, match="mode"):
-            pairq_estimate_sqdist(scalar_model, q[0], r, np.array([0]))
-        r2 = pairq_query_vector(sq_model, q[0])
-        with pytest.raises(ValueError, match="mode"):
-            pairq_estimate_scalar(sq_model, r2, np.array([0]))
-
-    def test_sqdist_estimate_rejects_query_dimension(self):
-        # r has the right length, so only q's own length can catch a query
-        # of the wrong dimension.
-        rng = np.random.default_rng(20)
-        q = rng.standard_normal((40, 6))
-        db = rng.standard_normal((60, 6))
-        model = train_pairq(learn_sqdist_transform(q), db, 2, 4,
-                            outer_iters=0, kmeans_iters=5, seed=0)
-        r = pairq_query_vector(model, q[0])
-        code = pairq_encode(model, db[:1])[0]
-        with pytest.raises(ValueError, match="query dimension 3 does not "
-                           "match transform source dimension 6"):
-            pairq_estimate_sqdist(model, q[0, :3], r, code)
+        assert estimate_batch(model, np.zeros(4), codes[:1], "scalar")[0] == 0.0
 
     def test_training_set_unbiasedness_scalar(self):
         # At a converged single-block fit the estimates average out exactly
@@ -408,11 +373,8 @@ class TestEstimates:
         assert model.opq.converged
         codes = pairq_encode(model, db)
         query = rng.standard_normal(5)
-        r = pairq_query_vector(model, query)
-        errs = [
-            pairq_estimate_scalar(model, r, codes[i]) - query @ db[i]
-            for i in range(2000)
-        ]
+        est = estimate_batch(model, query, codes, "scalar")
+        errs = [est[i] - query @ db[i] for i in range(2000)]
         scale = np.linalg.norm(query) * np.mean(np.linalg.norm(db, axis=1))
         assert abs(np.mean(errs)) <= 1e-9 * scale
 
@@ -427,10 +389,7 @@ class TestEstimates:
         model = train_pairq(t, db, 2, 16, outer_iters=2, kmeans_iters=100, seed=3)
         codes = pairq_encode(model, held_out)
         query = q[0]
-        r = pairq_query_vector(model, query)
-        errs = np.array([
-            pairq_estimate_scalar(model, r, codes[i]) - query @ held_out[i]
-            for i in range(3000)
-        ])
+        est = estimate_batch(model, query, codes, "scalar")
+        errs = np.array([est[i] - query @ held_out[i] for i in range(3000)])
         stderr = errs.std(ddof=1) / np.sqrt(len(errs))
         assert abs(errs.mean()) <= 5.0 * max(stderr, 1e-12)
