@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, psd_factors
 
 
 def _read_records(path, dtype: np.dtype) -> np.ndarray:
@@ -151,11 +151,8 @@ def gen_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticData:
 
 def second_moment_condition(queries) -> float:
     """Condition number of the mean query outer-product matrix; infinite
-    when it is singular or empty (an empty vector file reads as (0, 0))."""
+    when it has no column (an empty vector file reads as (0, 0)) or when
+    the transforms' rank rule (``linalg.psd_factors``) zeroes a direction."""
     q = as_matrix(queries, "queries")
-    moment = (q.T @ q) / max(q.shape[0], 1)
-    w = np.linalg.eigvalsh(moment)
-    if w.size == 0 or w[-1] <= 0.0:
-        return float("inf")
-    smallest = max(w[0], 0.0)
-    return float("inf") if smallest == 0.0 else float(w[-1] / smallest)
+    w, _, _ = psd_factors((q.T @ q) / max(q.shape[0], 1))
+    return float(w[0] / w[-1]) if w.size and w.all() else float("inf")

@@ -1,26 +1,27 @@
 """Dense linear algebra used by the quantizers and transforms.
 
 Everything here works on float64 arrays and never mutates its inputs. The
-three public operations are a PSD matrix square root, a Moore-Penrose
-pseudoinverse with an explicit singular-value cutoff, and the orthogonal
-Procrustes solve.
+public operations are one eigendecomposition of a PSD matrix giving its
+clamped spectrum, root and root pseudoinverse (``psd_factors``; ``psd_sqrt``
+is the root alone), an SVD pseudoinverse with an explicit singular-value
+cutoff, and the orthogonal Procrustes solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Relative tolerance for the symmetry check in psd_sqrt.
+# Relative tolerance for the symmetry check in psd_factors.
 SYMMETRY_RTOL = 1e-10
 
-# Eigenvalue handling in psd_sqrt, both relative to the largest eigenvalue:
-# anything below -NEGATIVE_EIG_RTOL errors out as not PSD, anything below
-# ZERO_EIG_RTOL is clamped to exactly zero before the square root.
+# Eigenvalue handling in psd_factors, both relative to the largest
+# eigenvalue: anything below -NEGATIVE_EIG_RTOL errors out as not PSD,
+# anything below ZERO_EIG_RTOL is clamped to exactly zero (the one rank rule).
 NEGATIVE_EIG_RTOL = 1e-6
 ZERO_EIG_RTOL = 1e-10
 
 # Singular values at or below this fraction of the largest are treated as
-# zero when inverting.
+# zero by pseudo_inverse, the general SVD route.
 PINV_CUTOFF_RTOL = 1e-10
 
 
@@ -44,8 +45,8 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return out
 
 
-def psd_sqrt(g) -> np.ndarray:
-    """Symmetric square root C of a PSD matrix, so that C.T @ C == g.
+def psd_factors(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One eigendecomposition of a PSD matrix, and the one rank rule.
 
     ``g`` must be square and symmetric up to a small relative tolerance;
     the strictly symmetric average is what gets decomposed. Eigenvalues
@@ -55,8 +56,12 @@ def psd_sqrt(g) -> np.ndarray:
     negative spectrum raises.
 
     Returns:
-        The symmetric PSD root, same shape as ``g``. For the zero matrix
-        the result is the zero matrix.
+        ``(w, root, pinv)``: the clamped eigenvalues in descending order
+        (a dropped direction reads exactly 0), the symmetric PSD root
+        C = V·diag(√w)·Vᵀ with C.T @ C == g up to the clamp, and its
+        Moore-Penrose pseudoinverse V·diag(1/√w)·Vᵀ over the kept
+        eigenvalues. The zero matrix gives zero factors, a 0×0 input
+        empty ones.
 
     Raises:
         ValueError: if ``g`` is not square, not symmetric, not finite or
@@ -72,6 +77,8 @@ def psd_sqrt(g) -> np.ndarray:
     # Symmetrize so tiny asymmetries cannot leak into the decomposition,
     # and sort the eigenpairs descending.
     w, v = np.linalg.eigh(0.5 * (g + g.T))
+    if n == 0:
+        return w, v, v
     order = np.arange(n - 1, -1, -1)
     w, v = w[order], v[:, order]
     largest = max(w[0], 0.0)
@@ -86,8 +93,16 @@ def psd_sqrt(g) -> np.ndarray:
         )
     w[w < ZERO_EIG_RTOL * largest] = 0.0
     root = (v * np.sqrt(w)) @ v.T
+    inv_root = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0.0)
+    pinv = (v * inv_root) @ v.T
     # Exact symmetry keeps downstream C.T @ C == C @ C comparisons clean.
-    return 0.5 * (root + root.T)
+    return w, 0.5 * (root + root.T), 0.5 * (pinv + pinv.T)
+
+
+def psd_sqrt(g) -> np.ndarray:
+    """Symmetric PSD root C of ``g``, C.T @ C == g up to the clamp: the
+    root ``psd_factors`` returns, with its checks and errors."""
+    return psd_factors(g)[1]
 
 
 def pseudo_inverse(c) -> np.ndarray:

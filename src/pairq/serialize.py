@@ -58,8 +58,9 @@ ROTATION_ATOL = 1e-6
 # Largest Moore-Penrose residual a stored transform may show, relative to
 # the matrix it is measured against: ‖A·P·A − A‖ to ‖A‖ and ‖P·A·P − P‖ to
 # ‖P‖ (Frobenius). Float32 rounding of P moves A·P·A by about 2⁻²⁴·κ(A)
-# relative, and the learned roots have κ ≤ 10⁵ (psd_sqrt clamps eigenvalues
-# below 10⁻¹⁰ of the largest). Saved transforms of synthetic and Gaussian
+# relative, and the learned roots have κ ≤ 10⁵ on the directions they keep
+# (linalg.psd_factors drops the moment's eigenvalues below 10⁻¹⁰ of the
+# largest from A and P alike). Saved transforms of synthetic and Gaussian
 # query samples, full rank and rank deficient, show at most 1.8e-6; roots
 # whose spectra reach down to that clamp, at dimensions up to 256, 7.9e-4.
 PINV_RTOL = 1e-2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, pseudo_inverse, psd_sqrt
+from .linalg import as_matrix, as_vector, psd_factors
 from .quantizer import (
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
@@ -42,11 +42,12 @@ SQDIST = "sqdist"
 class PairTransform:
     """Linear map learned from a query sample.
 
-    ``matrix`` is the symmetric PSD root of ``second_moment`` (the mean
-    outer product of the, possibly lifted, query vectors), ``pinv`` its
-    Moore-Penrose pseudoinverse. ``source_dim`` is the raw vector
-    dimension; ``dim`` is the transform's own dimension, one higher in
-    sqdist mode because of the lifting.
+    ``matrix`` is the symmetric PSD root V·diag(√λ)·Vᵀ of ``second_moment``
+    (the mean outer product of the, possibly lifted, query vectors) and
+    ``pinv`` its Moore-Penrose pseudoinverse V·diag(1/√λ)·Vᵀ, both over
+    the eigenpairs that ``linalg.psd_factors``' one rank rule keeps.
+    ``source_dim`` is the raw vector dimension; ``dim`` is the transform's
+    own dimension, one higher in sqdist mode because of the lifting.
     """
 
     mode: str
@@ -61,7 +62,7 @@ class PairTransform:
     @property
     def second_moment(self) -> np.ndarray:
         """``matrix.T @ matrix``: the query second moment, less the
-        eigenvalues that ``psd_sqrt`` clamps to zero."""
+        eigenvalues that ``psd_factors`` clamps to zero."""
         return self.matrix.T @ self.matrix
 
 
@@ -82,19 +83,14 @@ def _query_lift(q: np.ndarray) -> np.ndarray:
 
 
 def _learn_transform(queries, mode: str) -> PairTransform:
-    """PSD root and pseudo-inverse of the second moment of the queries,
-    lifted to (-2q, 1) first in sqdist mode."""
+    """PSD root and its pseudo-inverse, from one eigendecomposition of the
+    second moment of the queries, lifted to (-2q, 1) first in sqdist mode."""
     q = as_matrix(queries, "queries")
-    if q.shape[0] == 0:
-        raise ValueError("need at least one query")
+    if 0 in q.shape:
+        raise ValueError(f"need at least one query and one column, got {q.shape}")
     g = _query_lift(q) if mode == SQDIST else q
-    root = psd_sqrt((g.T @ g) / g.shape[0])
-    return PairTransform(
-        mode=mode,
-        source_dim=q.shape[1],
-        matrix=root,
-        pinv=pseudo_inverse(root),
-    )
+    _, root, pinv = psd_factors((g.T @ g) / g.shape[0])
+    return PairTransform(mode=mode, source_dim=q.shape[1], matrix=root, pinv=pinv)
 
 
 def learn_scalar_transform(queries) -> PairTransform:

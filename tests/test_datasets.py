@@ -12,6 +12,7 @@ from pairq.datasets import (
     write_fvecs,
     write_ivecs,
 )
+from pairq.transform import learn_scalar_transform
 
 
 class TestFvecs:
@@ -158,3 +159,30 @@ class TestSecondMomentCondition:
     def test_no_queries_is_infinite(self, shape):
         # An empty vector file reads as (0, 0), with no dimension to keep.
         assert second_moment_condition(np.empty(shape)) == np.inf
+
+    def test_fewer_queries_than_dimensions_is_infinite(self):
+        # Three queries span at most three of four dimensions. Rounding
+        # leaves the fourth eigenvalue of the moment at 3.4e-17, not 0;
+        # the rank rule must still count that direction as missing.
+        q = np.random.default_rng(0).standard_normal((3, 4))
+        assert second_moment_condition(q) == np.inf
+
+    def test_infinite_exactly_when_the_transform_drops_a_direction(self):
+        # One rank rule: the condition is infinite exactly when the learned
+        # scalar transform keeps fewer directions than the query dimension.
+        # The kept rank is the trace of the projector pinv @ matrix.
+        rng = np.random.default_rng(11)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            dim = int(rng.integers(1, 7))
+            count = int(rng.integers(1, 10))
+            q = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-3, 4)
+            if dim > 1 and rng.random() < 0.3:
+                # A nearly repeated column: a moment eigenvalue near the clamp.
+                q[:, -1] = q[:, 0] + 10.0 ** rng.uniform(-7, -3) * q[:, -1]
+            t = learn_scalar_transform(q)
+            kept = round(float(np.trace(t.pinv @ t.matrix)))
+            dropped = kept < dim
+            assert (second_moment_condition(q) == np.inf) == dropped
+            seen[dropped] += 1
+        assert min(seen.values()) > 50

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairq.linalg import procrustes, psd_sqrt, pseudo_inverse
+from pairq.linalg import ZERO_EIG_RTOL, procrustes, psd_factors, psd_sqrt, pseudo_inverse
 
 
 def rand_orthogonal(rng, n):
@@ -80,6 +80,38 @@ class TestPsdSqrt:
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
+
+
+class TestPsdFactors:
+    """One eigendecomposition gives the clamped spectrum, the root and the
+    root's pseudo-inverse, all under the one rank rule."""
+
+    def test_empty_matrix(self):
+        w, root, pinv = psd_factors(np.zeros((0, 0)))
+        assert w.shape == (0,) and root.shape == (0, 0) and pinv.shape == (0, 0)
+        assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_clamp_and_pinv_agree_with_svd(self):
+        rng = np.random.default_rng(10)
+        for trial in range(40):
+            n = int(rng.integers(1, 12))
+            rank = int(rng.integers(0, n + 1))
+            basis = rand_orthogonal(rng, n)
+            lams = np.zeros(n)
+            lams[:rank] = np.exp(rng.uniform(-3.0, 3.0, size=rank))
+            if rank < n and trial % 2:
+                # Below the clamp, but not exactly zero.
+                lams[rank] = 1e-3 * ZERO_EIG_RTOL * lams[:max(rank, 1)].max()
+            g = (basis * lams) @ basis.T
+            g = 0.5 * (g + g.T)
+            w, root, pinv = psd_factors(g)
+            assert (np.diff(w) <= 0.0).all()
+            assert np.count_nonzero(w) == rank
+            np.testing.assert_array_equal(pinv, pinv.T)
+            reference = pseudo_inverse(root)
+            np.testing.assert_allclose(
+                pinv, reference, atol=1e-12 * max(1.0, np.abs(reference).max())
+            )
 
 
 class TestPseudoInverse:

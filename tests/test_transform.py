@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairq.linalg import ZERO_EIG_RTOL
+from pairq.linalg import ZERO_EIG_RTOL, psd_sqrt, pseudo_inverse
 from pairq.metrics import estimate_batch
 from pairq.quantizer import opq_encode, pq_decode, reconstruction_error, train_opq
 from pairq.transform import (
@@ -76,6 +76,56 @@ class TestLearnScalarTransform:
             learn_scalar_transform(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="2-dimensional"):
             learn_scalar_transform(np.zeros(4))
+
+    @pytest.mark.parametrize("learn", [learn_scalar_transform, learn_sqdist_transform])
+    def test_rejects_queries_without_columns(self, learn):
+        # Sqdist mode would otherwise lift them to a 1x1 transform of a
+        # 0-dimensional source.
+        with pytest.raises(ValueError, match="one column"):
+            learn(np.empty((5, 0)))
+
+
+class TestOneDecomposition:
+    """The transform comes from one eigendecomposition of the query moment:
+    no SVD, the same root as psd_sqrt, and a pinv that matches the SVD
+    pseudo-inverse of that root."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "sqdist"])
+    @pytest.mark.parametrize("dim", [64, 128])
+    @pytest.mark.parametrize("rank", [None, 40])
+    def test_one_eigh_no_svd(self, monkeypatch, mode, dim, rank):
+        rng = np.random.default_rng(dim + (rank or 0))
+        count = 3 * dim
+        if rank is None:
+            q = anisotropic(rng, count, np.exp(-np.arange(dim) / 16.0))
+        else:
+            q = rng.standard_normal((count, rank)) @ rng.standard_normal((rank, dim))
+        learn = learn_sqdist_transform if mode == "sqdist" else learn_scalar_transform
+        g = np.hstack([-2.0 * q, np.ones((count, 1))]) if mode == "sqdist" else q
+        moment = (g.T @ g) / count
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform learning must not call an SVD")
+
+        eigh_calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            eigh_calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", refuse)
+            patch.setattr(np.linalg, "pinv", refuse)
+            patch.setattr(np.linalg, "eigh", counted_eigh)
+            t = learn(q)
+        assert eigh_calls == [moment.shape]
+        np.testing.assert_array_equal(t.matrix, psd_sqrt(moment))
+        reference = pseudo_inverse(t.matrix)
+        gap = np.linalg.norm(t.pinv - reference) / np.linalg.norm(reference)
+        assert gap <= 1e-13
+        if rank is not None:
+            assert round(float(np.trace(t.pinv @ t.matrix))) == rank + (mode == "sqdist")
 
 
 class TestRankDeficientProperty:
