@@ -26,6 +26,7 @@ import numpy as np
 from .datasets import (
     SyntheticSpec,
     gen_synthetic,
+    read_fvecs,
     read_ivecs,
     write_fvecs,
     write_ivecs,
@@ -37,7 +38,6 @@ from .experiment import (
     encode,
     fit_method,
     normalize_rows,
-    read_rows,
     run_experiment,
     task_kind,
     write_report_csv,
@@ -52,6 +52,15 @@ from .quantizer import (
 )
 from .serialize import load_model, save_model
 from .transform import PairQModel
+
+
+def read_rows(path, name: str) -> np.ndarray:
+    """An fvecs file that a command cannot run without: an empty one (no
+    rows, no dimension) is refused before any training or encoding."""
+    rows = read_fvecs(path)
+    if rows.shape[0] == 0:
+        raise ValueError(f"{name} file {path} holds no vectors")
+    return rows
 
 
 def _load_vectors(path, name: str, mode: str) -> np.ndarray:
@@ -172,11 +181,14 @@ def _cmd_bench(args) -> int:
         kmeans_iters=args.kmeans_iters,
         max_pairs=args.max_pairs,
         seed=args.seed,
-        database_path=args.database,
-        train_queries_path=args.train_queries,
-        eval_queries_path=args.eval_queries,
     )
-    report = run_experiment(config)
+    # An empty train-queries file fails only the pairq cells.
+    report = run_experiment(
+        config,
+        read_rows(args.database, "database"),
+        read_fvecs(args.train_queries),
+        read_rows(args.eval_queries, "eval queries"),
+    )
     failed = False
     for cell in report.cells:
         if cell.error is not None:

@@ -2,7 +2,9 @@
 
 A run covers one task (scalar products, cosine similarities via prior
 normalization, or squared distances), a list of methods, and a list of
-block counts, neither of which may list an entry twice. ``fit_method`` is
+block counts, neither of which may list an entry twice, on three arrays:
+the database, the training queries and the evaluation queries (this module
+reads no files). ``fit_method`` is
 the one place that turns (task, method) into a trained model, for the grid
 and the ``pairq train`` command alike. Per block count, ``opq`` and
 ``opq-bc`` share one OPQ model and its codes: ``opq-bc`` adds only the
@@ -30,22 +32,19 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import (
-    SyntheticData,
-    SyntheticSpec,
-    gen_synthetic,
-    read_fvecs,
-    second_moment_condition,
-)
+from .datasets import second_moment_condition
 from .estimator import BiasCorrected, compute_mse_table
 from .linalg import as_matrix
-from .metrics import DEFAULT_PAIR_BUDGET, SCALAR, SQDIST, evaluate_methods
+from .metrics import (
+    DEFAULT_PAIR_BUDGET, SCALAR, SQDIST, check_eval_inputs, evaluate_methods,
+)
 from .quantizer import (
     DEFAULT_CODEBOOK_SIZE,
     DEFAULT_KMEANS_ITERS,
@@ -83,13 +82,10 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run depends on.
-
-    Exactly one data source must be set: a synthetic spec, or all three
-    vector file paths.
-    """
+    """Everything a benchmark run depends on but its data arrays. Checked
+    when built, so a bad config fails before any data is loaded."""
 
     task: str = "scalar"
     methods: tuple[str, ...] = ("opq", "pairq")
@@ -99,10 +95,27 @@ class ExperimentConfig:
     kmeans_iters: int = DEFAULT_KMEANS_ITERS
     max_pairs: int = DEFAULT_PAIR_BUDGET
     seed: int = 0
-    synthetic: SyntheticSpec | None = None
-    database_path: str | None = None
-    train_queries_path: str | None = None
-    eval_queries_path: str | None = None
+
+    def __post_init__(self):
+        for name in ("methods", "block_counts"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} is empty")
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{name} lists {v!r} twice")
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
+        if self.task != "sqdist" and "opq-bc" in self.methods:
+            raise ValueError("bias correction only applies to the sqdist task")
+        for num_blocks in self.block_counts:
+            check_training(num_blocks, self.codebook_size, self.outer_iters,
+                           self.kmeans_iters)
+        if self.max_pairs < 1:
+            raise ValueError(f"max_pairs must be >= 1, got {self.max_pairs}")
 
 
 @dataclass
@@ -144,39 +157,6 @@ class Report:
             if c.method == method and c.num_blocks == num_blocks:
                 return c
         raise KeyError(f"no cell for ({method}, {num_blocks})")
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    if config.task not in TASKS:
-        raise ValueError(f"unknown task {config.task!r}, expected one of {TASKS}")
-    if not config.methods:
-        raise ValueError("methods is empty")
-    for m in config.methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
-    if config.task != "sqdist" and "opq-bc" in config.methods:
-        raise ValueError("bias correction only applies to the sqdist task")
-    if not config.block_counts:
-        raise ValueError("block_counts is empty")
-    for num_blocks in config.block_counts:
-        check_training(num_blocks, config.codebook_size, config.outer_iters,
-                       config.kmeans_iters)
-    if config.max_pairs < 1:
-        raise ValueError(f"max_pairs must be >= 1, got {config.max_pairs}")
-    for name in ("methods", "block_counts"):
-        values = getattr(config, name)
-        for i, v in enumerate(values):
-            if v in values[:i]:
-                raise ValueError(f"{name} lists {v!r} twice")
-    paths = (config.database_path, config.train_queries_path, config.eval_queries_path)
-    if config.synthetic is not None:
-        if any(p is not None for p in paths):
-            raise ValueError("give either a synthetic spec or file paths, not both")
-    elif not all(p is not None for p in paths):
-        raise ValueError(
-            "need a synthetic spec or database, train-queries and "
-            "eval-queries paths"
-        )
 
 
 def task_kind(task: str) -> str:
@@ -233,38 +213,15 @@ def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
     return opq_encode(model, database)
 
 
-def read_rows(path, name: str) -> np.ndarray:
-    """An fvecs file that the grid or a CLI command cannot run without. An
-    empty one has no rows and no dimension, so it is refused before any
-    training or encoding; only the row count is checked."""
-    rows = read_fvecs(path)
-    if rows.shape[0] == 0:
-        raise ValueError(f"{name} file {path} holds no vectors")
-    return rows
-
-
-def _load_data(config: ExperimentConfig) -> SyntheticData:
-    if config.synthetic is not None:
-        return gen_synthetic(config.synthetic, seed=config.seed)
-    # Only pairq cells read the training queries: an empty file fails
-    # those cells alone, and the opq cells still run.
-    return SyntheticData(
-        database=as_matrix(read_rows(config.database_path, "database"), "database"),
-        train_queries=as_matrix(read_fvecs(config.train_queries_path), "train queries"),
-        eval_queries=as_matrix(
-            read_rows(config.eval_queries_path, "eval queries"), "eval queries"
-        ),
-    )
-
-
-def run_experiment(config: ExperimentConfig) -> Report:
+def run_experiment(
+    config: ExperimentConfig, database, train_queries, eval_queries
+) -> Report:
     """Train and encode every grid cell of the config, then score the
-    fitted cells in one evaluation pass."""
-    _validate_config(config)
-    data = _load_data(config)
-    database = data.database
-    train_q = data.train_queries
-    eval_q = data.eval_queries
+    fitted cells in one evaluation pass. The evaluation queries and the
+    database are checked before any training; training queries that cannot
+    train a transform fail only the ``pairq`` cells, which alone use them."""
+    eval_q, database = check_eval_inputs(eval_queries, database)
+    train_q = as_matrix(train_queries, "train queries")
     if config.task == "cosine":
         database = normalize_rows(database)
         train_q = normalize_rows(train_q)
@@ -371,9 +328,23 @@ def write_report_csv(report: Report, path) -> None:
             )
 
 
+def _json_value(value):
+    """``value`` with every NaN or infinity as None: JSON has no literal for
+    them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def write_report_json(report: Report, path) -> None:
-    """Full report: config, cells with timings, environment."""
+    """Full report: config, cells with timings, environment. A non-finite
+    number, such as the condition of rank-deficient training queries, is
+    written as null."""
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True,
-                  default=lambda value: value.tolist())
+        json.dump(_json_value(asdict(report)), fh, indent=2, sort_keys=True,
+                  allow_nan=False, default=lambda value: value.tolist())
         fh.write("\n")

@@ -9,7 +9,7 @@ route so the metrics measure what a real scan would return.
 evaluation queries: per query it draws the database rows once, computes
 their exact values once with ``true_values`` and then scans each method's
 codes. ``evaluate_method`` is its one-method case. Inputs are checked once,
-before any scoring.
+before any scoring (``check_eval_inputs``, which the grid runner also calls).
 
 All pairs are evaluated when the query count times the database size stays
 under the pair budget; beyond it, each query gets a seeded random subset
@@ -129,6 +129,21 @@ def _pair_indices(num_db: int, num_queries: int, max_pairs: int, seed: int):
     return (rng.permutation(num_db)[:per_query] for _ in range(num_queries))
 
 
+def check_eval_inputs(eval_queries, database) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation queries and the database as finite float64 matrices,
+    each with at least one row and both of one width."""
+    queries = as_matrix(eval_queries, "eval queries")
+    x = as_matrix(database, "database")
+    if queries.shape[0] == 0 or x.shape[0] == 0:
+        raise ValueError("need at least one query and one database vector")
+    if queries.shape[1] != x.shape[1]:
+        raise ValueError(
+            f"eval queries have dimension {queries.shape[1]}, the database "
+            f"has dimension {x.shape[1]}"
+        )
+    return queries, x
+
+
 def evaluate_methods(
     scored,
     kind: str,
@@ -145,8 +160,7 @@ def evaluate_methods(
     ``evaluate_method`` returns for it alone. Returns one ``EvalStats`` per
     entry of ``scored``, in its order.
     """
-    queries = as_matrix(eval_queries, "eval_queries")
-    x = as_matrix(database, "database")
+    queries, x = check_eval_inputs(eval_queries, database)
     scored = [(method, np.asarray(codes)) for method, codes in scored]
     for _, codes in scored:
         if codes.shape[0] != x.shape[0]:
@@ -154,8 +168,6 @@ def evaluate_methods(
                 f"codes rows {codes.shape[0]} do not match database rows "
                 f"{x.shape[0]}"
             )
-    if queries.shape[0] == 0 or x.shape[0] == 0:
-        raise ValueError("need at least one query and one database vector")
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     subsets = _pair_indices(x.shape[0], queries.shape[0], max_pairs, seed)

@@ -238,7 +238,9 @@ def test_07_query_aware_scalar_grid():
         outer_iters=2,
         kmeans_iters=6,
         seed=0,
-        synthetic=SyntheticSpec(
+    )
+    data = gen_synthetic(
+        SyntheticSpec(
             dim=100,
             num_database=50_000,
             num_train_queries=2000,
@@ -246,8 +248,11 @@ def test_07_query_aware_scalar_grid():
             database_decay=1.2,
             query_decay=5.5,
         ),
+        seed=0,
     )
-    report = run_experiment(config)
+    report = run_experiment(
+        config, data.database, data.train_queries, data.eval_queries
+    )
     elapsed = time.perf_counter() - t0
     ok = report.query_moment_condition >= 100.0
     reductions = {}
@@ -277,7 +282,9 @@ def test_08_distance_grid_error_ordering():
         outer_iters=2,
         kmeans_iters=8,
         seed=0,
-        synthetic=SyntheticSpec(
+    )
+    data = gen_synthetic(
+        SyntheticSpec(
             dim=128,
             num_database=20_000,
             num_train_queries=1500,
@@ -285,8 +292,11 @@ def test_08_distance_grid_error_ordering():
             database_decay=2.0,
             query_decay=4.5,
         ),
+        seed=0,
     )
-    report = run_experiment(config)
+    report = run_experiment(
+        config, data.database, data.train_queries, data.eval_queries
+    )
     elapsed = time.perf_counter() - t0
     ok = elapsed < 600.0
     parts = []

@@ -49,10 +49,24 @@ def tiny_config(**kw):
         outer_iters=1,
         kmeans_iters=8,
         seed=0,
-        synthetic=tiny_spec(),
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def tiny_data(**kw):
+    """(database, train queries, eval queries) of a tiny_spec draw."""
+    data = gen_synthetic(tiny_spec(**kw), seed=0)
+    return data.database, data.train_queries, data.eval_queries
+
+
+def strict_json(path):
+    """The parsed file, refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def cell_rows(report):
@@ -68,32 +82,37 @@ def cell_rows(report):
 class TestConfigValidation:
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="task"):
-            run_experiment(tiny_config(task="l1"))
+            run_experiment(tiny_config(task="l1"), *tiny_data())
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
-            run_experiment(tiny_config(methods=("opq", "aq")))
+            run_experiment(tiny_config(methods=("opq", "aq")), *tiny_data())
 
     def test_bias_correction_needs_sqdist(self):
         with pytest.raises(ValueError, match="sqdist"):
-            run_experiment(tiny_config(methods=("opq-bc",)))
+            run_experiment(tiny_config(methods=("opq-bc",)), *tiny_data())
 
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="synthetic spec or"):
-            run_experiment(tiny_config(synthetic=None))
-        with pytest.raises(ValueError, match="not both"):
-            run_experiment(tiny_config(database_path="x.fvecs"))
+    def test_config_is_checked_when_built(self):
+        # A bad config fails before any data exists, and a built one cannot
+        # be changed into a bad one.
+        with pytest.raises(ValueError, match="task"):
+            ExperimentConfig(task="l1")
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.task = "l1"
+        assert len(dataclasses.fields(config)) == 8
 
     def test_rejects_duplicate_methods_and_block_counts(self):
         with pytest.raises(ValueError, match="methods lists 'opq' twice"):
-            run_experiment(tiny_config(methods=("opq", "pairq", "opq")))
+            run_experiment(tiny_config(methods=("opq", "pairq", "opq")),
+                           *tiny_data())
         with pytest.raises(ValueError, match="block_counts lists 4 twice"):
-            run_experiment(tiny_config(block_counts=(2, 4, 4)))
+            run_experiment(tiny_config(block_counts=(2, 4, 4)), *tiny_data())
 
     @pytest.mark.parametrize("block_counts", [(0,), (2, -2)])
     def test_rejects_block_counts_below_one(self, block_counts):
         with pytest.raises(ValueError, match="num_blocks must be >= 1"):
-            run_experiment(tiny_config(block_counts=block_counts))
+            run_experiment(tiny_config(block_counts=block_counts), *tiny_data())
 
     @pytest.mark.parametrize("field, value, message", [
         ("codebook_size", 0, "codebook_size must be in"),
@@ -111,12 +130,12 @@ class TestConfigValidation:
         monkeypatch.setattr(experiment, "train_opq", untrainable)
         monkeypatch.setattr(experiment, "train_pairq", untrainable)
         with pytest.raises(ValueError, match=message):
-            run_experiment(tiny_config(**{field: value}))
+            run_experiment(tiny_config(**{field: value}), *tiny_data())
 
 
 class TestRunExperiment:
     def test_scalar_grid(self):
-        report = run_experiment(tiny_config(block_counts=(2, 4)))
+        report = run_experiment(tiny_config(block_counts=(2, 4)), *tiny_data())
         assert len(report.cells) == 4
         for cell in report.cells:
             assert cell.error is None
@@ -136,10 +155,10 @@ class TestRunExperiment:
         # Each block count's reductions come from its own opq cell, so a
         # method listed before opq gets one too.
         config = tiny_config(task=task, methods=methods, block_counts=(2, 4))
-        rows = cell_rows(run_experiment(config))
+        rows = cell_rows(run_experiment(config, *tiny_data()))
         opq_first = ("opq",) + tuple(m for m in methods if m != "opq")
         assert rows == cell_rows(run_experiment(
-            dataclasses.replace(config, methods=opq_first)
+            dataclasses.replace(config, methods=opq_first), *tiny_data()
         ))
         for (method, _), row in rows.items():
             filled = row["error_reduction_vs_opq_pct"] is not None
@@ -147,7 +166,8 @@ class TestRunExperiment:
 
     def test_sqdist_grid_with_bias_correction(self):
         report = run_experiment(
-            tiny_config(task="sqdist", methods=("opq", "opq-bc", "pairq"))
+            tiny_config(task="sqdist", methods=("opq", "opq-bc", "pairq")),
+            *tiny_data(),
         )
         assert len(report.cells) == 3
         for cell in report.cells:
@@ -161,7 +181,8 @@ class TestRunExperiment:
         assert raw.mean_signed_error < 0
 
     def test_cosine_task_normalizes(self):
-        report = run_experiment(tiny_config(task="cosine", methods=("opq",)))
+        report = run_experiment(tiny_config(task="cosine", methods=("opq",)),
+                                *tiny_data())
         cell = report.cells[0]
         assert cell.error is None
         # Cosine values live in [-1, 1]; the squared error must too.
@@ -170,8 +191,7 @@ class TestRunExperiment:
     def test_failed_cell_is_isolated(self):
         # No training queries: the transform cannot be learned, so pairq
         # cells fail while the plain quantizer cells survive.
-        config = tiny_config(synthetic=tiny_spec(num_train_queries=0))
-        report = run_experiment(config)
+        report = run_experiment(tiny_config(), *tiny_data(num_train_queries=0))
         opq_cell = report.cell("opq", 2)
         pairq_cell = report.cell("pairq", 2)
         assert opq_cell.error is None
@@ -182,14 +202,15 @@ class TestRunExperiment:
         assert pairq_cell.error_reduction_vs_opq_pct is None
 
     def test_no_reduction_without_a_working_opq_cell(self, monkeypatch):
-        report = run_experiment(tiny_config(methods=("pairq",)))
+        report = run_experiment(tiny_config(methods=("pairq",)), *tiny_data())
         assert report.cell("pairq", 2).error_reduction_vs_opq_pct is None
 
         def broken(*args, **kwargs):
             raise RuntimeError("no opq model")
 
         monkeypatch.setattr(experiment, "train_opq", broken)
-        report = run_experiment(tiny_config(methods=("pairq", "opq")))
+        report = run_experiment(tiny_config(methods=("pairq", "opq")),
+                                *tiny_data())
         assert "no opq model" in report.cell("opq", 2).error
         pairq_cell = report.cell("pairq", 2)
         assert pairq_cell.error is None
@@ -204,9 +225,8 @@ class TestRunExperiment:
             raise RuntimeError("scan broke")
 
         monkeypatch.setattr(metrics, "estimate_batch", broken)
-        config = tiny_config(synthetic=tiny_spec(num_train_queries=0),
-                             block_counts=(2, 4))
-        report = run_experiment(config)
+        report = run_experiment(tiny_config(block_counts=(2, 4)),
+                                *tiny_data(num_train_queries=0))
         for num_blocks in (2, 4):
             opq_cell = report.cell("opq", num_blocks)
             pairq_cell = report.cell("pairq", num_blocks)
@@ -229,7 +249,7 @@ class TestRunExperiment:
         report = run_experiment(tiny_config(
             task="sqdist", methods=("opq", "opq-bc", "pairq"),
             block_counts=(2, 4),
-        ))
+        ), *tiny_data())
         assert [c.error for c in report.cells] == [None] * 6
         assert calls == ["sqdist"] * tiny_spec().num_eval_queries
 
@@ -241,7 +261,7 @@ class TestRunExperiment:
             report = run_experiment(tiny_config(
                 task="sqdist", methods=("opq", "opq-bc", "pairq"),
                 max_pairs=max_pairs,
-            ))
+            ), *tiny_data())
             opq = fit_method("sqdist", "opq", data.database, None, 2, 8,
                              outer_iters=1, kmeans_iters=8)
             pair = fit_method("sqdist", "pairq", data.database,
@@ -260,18 +280,25 @@ class TestRunExperiment:
                 assert cell.mean_signed_error == stats.mean_signed_error
                 assert cell.excluded_pairs == stats.excluded_pairs
 
-    def test_file_based_run(self, tmp_path):
-        data = gen_synthetic(tiny_spec(), seed=3)
-        db = str(tmp_path / "db.fvecs")
-        tq = str(tmp_path / "tq.fvecs")
-        eq = str(tmp_path / "eq.fvecs")
-        write_fvecs(db, data.database)
-        write_fvecs(tq, data.train_queries)
-        write_fvecs(eq, data.eval_queries)
-        config = tiny_config(synthetic=None, database_path=db,
-                             train_queries_path=tq, eval_queries_path=eq)
-        report = run_experiment(config)
-        assert all(c.error is None for c in report.cells)
+    def test_eval_queries_of_another_width_fail_before_training(
+        self, monkeypatch
+    ):
+        fitted = []
+        monkeypatch.setattr(experiment, "fit_method",
+                            lambda *a, **k: fitted.append(a))
+        database, train_q, eval_q = tiny_data()
+        with pytest.raises(ValueError, match="eval queries have dimension 5, "
+                           "the database has dimension 8"):
+            run_experiment(tiny_config(), database, train_q, eval_q[:, :5])
+        assert fitted == []
+
+    def test_train_queries_of_another_width_fail_only_pairq_cells(self):
+        database, train_q, eval_q = tiny_data()
+        report = run_experiment(tiny_config(block_counts=(2, 4)), database,
+                                train_q[:, :5], eval_q)
+        for num_blocks in (2, 4):
+            assert report.cell("opq", num_blocks).error is None
+            assert report.cell("pairq", num_blocks).error is not None
 
 
 class TestFitMethod:
@@ -302,7 +329,7 @@ class TestFitMethod:
         report = run_experiment(tiny_config(
             task="sqdist", methods=("opq", "opq-bc", "pairq"),
             block_counts=(2, 4),
-        ))
+        ), *tiny_data())
         assert all(c.error is None for c in report.cells)
         assert calls == {"opq": 2, "pairq": 2}
 
@@ -313,7 +340,7 @@ class TestFitMethod:
         monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
         report = run_experiment(tiny_config(
             task="sqdist", methods=("opq", "opq-bc"), block_counts=(2,),
-        ))
+        ), *tiny_data())
         assert [c.error for c in report.cells] == [None, None]
 
 
@@ -322,13 +349,13 @@ class TestReportFiles:
         config = tiny_config()
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_report_csv(run_experiment(config), a)
-        write_report_csv(run_experiment(config), b)
+        write_report_csv(run_experiment(config, *tiny_data()), a)
+        write_report_csv(run_experiment(config, *tiny_data()), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_report_csv(run_experiment(tiny_config()), path)
+        write_report_csv(run_experiment(tiny_config(), *tiny_data()), path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -341,16 +368,31 @@ class TestReportFiles:
 
     def test_json_sidecar_holds_config_and_timings(self, tmp_path):
         path = tmp_path / "r.json"
-        write_report_json(run_experiment(tiny_config()), path)
+        write_report_json(run_experiment(tiny_config(), *tiny_data()), path)
         with open(path) as fh:
             payload = json.load(fh)
         assert payload["config"]["task"] == "scalar"
-        assert payload["config"]["synthetic"]["dim"] == 8
         assert payload["environment"]["numpy"] == np.__version__
         assert len(payload["cells"]) == 2
         for cell in payload["cells"]:
             assert cell["timings"]["train_encode"] > 0
         assert payload["timings"]["eval"] > 0
+
+    def test_json_sidecar_writes_non_finite_numbers_as_null(self, tmp_path):
+        # 50 rank-3 training queries in 8 dimensions: the moment condition
+        # is infinite, which JSON has no literal for.
+        rng = np.random.default_rng(0)
+        database, _, eval_q = tiny_data()
+        train_q = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 8))
+        report = run_experiment(tiny_config(), database, train_q, eval_q)
+        assert report.query_moment_condition == np.inf
+        report.cells[0].scalar_mse = float("nan")
+        path = tmp_path / "r.json"
+        write_report_json(report, path)
+        payload = strict_json(path)
+        assert payload["query_moment_condition"] is None
+        assert payload["cells"][0]["scalar_mse"] is None
+        assert payload["cells"][1]["scalar_mse"] > 0
 
 
 @pytest.fixture
@@ -762,6 +804,85 @@ class TestCli:
             (cell,) = csv.DictReader(fh)
         assert cell["rel_dist_error"] == ""
         assert cell["excluded_pairs"] == "150"
+
+    @pytest.mark.parametrize("task, methods", [
+        ("scalar", "opq,pairq"),
+        ("cosine", "pairq,opq"),
+        ("sqdist", "opq,opq-bc,pairq"),
+    ])
+    def test_bench_csv_matches_the_library(self, workdir, task, methods):
+        # pairq bench reads its files and hands the float32 rows to
+        # run_experiment, which is all the library call below does.
+        files = synth_bench_files(6, 200, 100, 8)
+        code = run_cli("bench", "--task", task, "--methods", methods,
+                       "--blocks", "2,3", "-K", 8, "--outer-iters", 1,
+                       "--kmeans-iters", 8, "--seed", 3, *files,
+                       "--out-csv", "cli.csv")
+        assert code == 0
+        config = ExperimentConfig(
+            task=task, methods=tuple(methods.split(",")), block_counts=(2, 3),
+            codebook_size=8, outer_iters=1, kmeans_iters=8, seed=3,
+        )
+        arrays = [read_fvecs(path) for path in files[1::2]]
+        write_report_csv(run_experiment(config, *arrays), "api.csv")
+        with open("cli.csv", "rb") as a, open("api.csv", "rb") as b:
+            assert a.read() == b.read()
+
+    def test_bench_writes_valid_json_for_an_empty_train_queries_file(
+        self, workdir, capsys
+    ):
+        code = run_cli("bench", "--methods", "opq,pairq", "--blocks", "2",
+                       "-K", 4, "--outer-iters", 0, "--kmeans-iters", 5,
+                       *synth_bench_files(4, 50, 0, 4), "--out-json", "r.json")
+        assert code == 1
+        payload = strict_json("r.json")
+        assert payload["query_moment_condition"] is None
+        assert sorted(payload["config"]) == sorted(
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        )
+
+    def test_bench_rejects_eval_queries_of_another_width(
+        self, workdir, capsys, monkeypatch
+    ):
+        rng = np.random.default_rng(0)
+        os.mkdir("d")
+        for path, shape in zip(BENCH_FILES[1::2], [(300, 8), (40, 8), (6, 5)]):
+            write_fvecs(path, rng.standard_normal(shape))
+        fitted = []
+        monkeypatch.setattr(experiment, "fit_method",
+                            lambda *a, **k: fitted.append(a))
+        for task in ("scalar", "sqdist"):
+            code = run_cli("bench", "--task", task, "--blocks", "2", "-K", 4,
+                           *BENCH_FILES, "--out-csv", "r.csv")
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: eval queries have dimension 5, the database has "
+                "dimension 8\n"
+            )
+            assert "FAILED" not in captured.out
+        assert fitted == []
+        assert not os.path.exists("r.csv")
+
+    def test_eval_rejects_eval_queries_of_another_width(self, workdir, capsys):
+        rng = np.random.default_rng(0)
+        write_fvecs("db.fvecs", rng.standard_normal((100, 8)))
+        write_fvecs("eq.fvecs", rng.standard_normal((6, 5)))
+        assert run_cli("train", "--mode", "sqdist", "--method", "opq",
+                       "--database", "db.fvecs", "-M", 2, "-K", 4,
+                       "--outer-iters", 0, "--kmeans-iters", 5,
+                       "--out", "m.pairq") == 0
+        assert run_cli("encode", "--model", "m.pairq", "--database", "db.fvecs",
+                       "--mode", "sqdist", "--out", "c.ivecs") == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--model", "m.pairq", "--database", "db.fvecs",
+                       "--codes", "c.ivecs", "--eval-queries", "eq.fvecs",
+                       "--mode", "sqdist", "--out", "m.json")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: eval queries have dimension 5, the database has dimension 8\n"
+        )
+        assert not os.path.exists("m.json")
 
     def test_missing_file_is_reported(self, workdir, capsys):
         code = run_cli("encode", "--model", "missing.pairq",

@@ -360,6 +360,17 @@ class TestEvaluateMethods:
             evaluate_methods(scored, "sqdist", queries, db)
         assert scans == []
 
+    def test_queries_of_another_width_raise_before_scoring(self, monkeypatch):
+        queries, db, scored = every_method("sqdist")
+        scans = []
+        monkeypatch.setattr(metrics, "estimate_batch",
+                            lambda *args: scans.append(args))
+        for kind in ("scalar", "sqdist"):
+            with pytest.raises(ValueError, match="eval queries have dimension "
+                               "5, the database has dimension 6"):
+                evaluate_methods(scored[:1], kind, queries[:, :5], db)
+        assert scans == []
+
 
 class TestPublicWrappers:
     """Whole-pipeline cases scored through the public evaluate_method."""
