@@ -9,6 +9,8 @@ quantity directly, and tests hold the two routes against each other.
 The scan gathers each block's entries with one ``take`` on that block's
 table row and adds them to a zeroed float64 vector in block order, so an
 estimate is the same sum, bit for bit, whatever the codes' integer dtype.
+That loop, ``_scan``, is also the scan of ``metrics.evaluate_methods``,
+which reads every query's codes from a (M, N) intp index converted once.
 
 Accumulation is float64 end to end.
 """
@@ -90,10 +92,20 @@ def adc_scan(lut, codes) -> np.ndarray:
     codes = np.asarray(codes)
     single = codes.ndim == 1
     arr = check_codes(codes, *table.shape)
-    out = np.zeros(arr.shape[0])
-    for j, row in enumerate(table):
-        out += row.take(arr[:, j])
+    out = _scan(table, arr.T)
     return float(out[0]) if single else out
+
+
+def _scan(table: np.ndarray, index) -> np.ndarray:
+    """The scan body: ``table[j].take(index[j])`` added to a zeroed float64
+    vector for each block j in order. ``index`` holds one array of checked
+    codes per block, of any integer dtype: the columns of a (N, M) codes
+    array, or the rows of a (M, N) intp index converted once for many
+    queries."""
+    out = np.zeros(len(index[0]))
+    for row, codes in zip(table, index):
+        out += row.take(codes)
+    return out
 
 
 def compute_mse_table(model: OPQModel, training_data, codes=None) -> MseTable:

@@ -224,7 +224,7 @@ class TestRunExperiment:
         def broken(*args, **kwargs):
             raise RuntimeError("scan broke")
 
-        monkeypatch.setattr(metrics, "estimate_batch", broken)
+        monkeypatch.setattr(metrics, "true_values", broken)
         report = run_experiment(tiny_config(block_counts=(2, 4)),
                                 *tiny_data(num_train_queries=0))
         for num_blocks in (2, 4):
@@ -239,19 +239,24 @@ class TestRunExperiment:
         assert "eval" in report.timings
 
     def test_grid_computes_exact_values_once_per_eval_query(self, monkeypatch):
-        calls = []
+        # Exact values come a tile of queries at a time; counted by query
+        # row, each eval query's values are computed once, in order.
+        rows, kinds = [], []
 
         def counted(query, database, kind):
-            calls.append(kind)
+            rows.append(np.atleast_2d(query))
+            kinds.append(kind)
             return true_values(query, database, kind)
 
         monkeypatch.setattr(metrics, "true_values", counted)
+        data = tiny_data()
         report = run_experiment(tiny_config(
             task="sqdist", methods=("opq", "opq-bc", "pairq"),
             block_counts=(2, 4),
-        ), *tiny_data())
+        ), *data)
         assert [c.error for c in report.cells] == [None] * 6
-        assert calls == ["sqdist"] * tiny_spec().num_eval_queries
+        assert set(kinds) == {"sqdist"}
+        np.testing.assert_array_equal(np.concatenate(rows), data[2])
 
     def test_grid_cells_match_separate_evaluations(self):
         # One shared pass gives each cell the stats evaluate_method gives

@@ -9,6 +9,9 @@ from pairq.estimator import (
     BiasCorrected, MseTable, build_lut_sqdist, compute_mse_table,
 )
 from pairq.metrics import (
+    DEFAULT_PAIR_BUDGET,
+    REL_ERR_FLOOR,
+    EvalStats,
     estimate_batch,
     evaluate_method,
     evaluate_methods,
@@ -107,15 +110,42 @@ class TestTrueValues:
 
     @pytest.mark.parametrize("dim", [1, 8, 128, 129])
     def test_sqdist_tiles_match_one_einsum(self, dim):
+        # Every value is within 2γ_{d+2}(‖q‖² + ‖x‖²) of the exact one, for
+        # a tile of queries and for each query alone. Pairs well inside the
+        # recompute zone (every other row lies near query 0) keep the bits
+        # of the difference form, across the recompute tiles of
+        # TILE_ENTRIES // dim pairs.
         tile = TILE_ENTRIES // dim
         rng = np.random.default_rng(dim)
-        q = rng.standard_normal(dim)
+        queries = rng.standard_normal((3, dim)) * 5.0
+        u = np.finfo(np.float64).eps / 2
+        gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+        ref_eps = (dim + 3) * np.finfo(np.longdouble).eps
         for n in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
             x = rng.standard_normal((n, dim)) * rng.uniform(0.1, 50.0, dim)
-            diff = x - q
-            np.testing.assert_array_equal(
-                true_values(q, x, "sqdist"), np.einsum("ij,ij->i", diff, diff)
-            )
+            x[::2] = queries[0] + 1e-3 * rng.standard_normal((len(x[::2]), dim))
+            xl, ql = x.astype(np.longdouble), queries.astype(np.longdouble)
+            exact = np.stack([((xl - q) ** 2).sum(axis=1) for q in ql])
+            norms = (xl ** 2).sum(axis=1) + (ql ** 2).sum(axis=1)[:, None]
+            diffs = [x - q for q in queries]
+            reference = np.stack([np.einsum("ij,ij->i", d, d) for d in diffs])
+            zone = reference <= metrics.SQDIST_MARGIN / 2 * norms
+            assert zone[0, ::2].all()
+            for got in (true_values(queries, x, "sqdist"),
+                        np.stack([true_values(q, x, "sqdist") for q in queries])):
+                assert np.all(np.abs(got - exact) <= 2 * gamma * norms + ref_eps * exact)
+                np.testing.assert_array_equal(got[zone], reference[zone])
+
+    def test_one_query_is_one_row_of_a_tile(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 6))
+        queries = rng.standard_normal((4, 6))
+        for kind in ("scalar", "sqdist"):
+            tile = true_values(queries, x, kind)
+            assert tile.shape == (4, 40)
+            for q, row in zip(queries, tile):
+                np.testing.assert_allclose(true_values(q, x, kind), row,
+                                           rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -135,6 +165,15 @@ class TestTrueValues:
             out = true_values(np.array([1e300, 1e300]), x, kind)
         expected = {"scalar": [np.inf, 3e300], "sqdist": [0.0, np.inf]}[kind]
         np.testing.assert_array_equal(out, expected)
+
+    def test_product_form_overflow_is_recomputed(self):
+        # ‖q‖² + ‖x‖² is finite and so is Σ(x − q)², the largest double,
+        # but with OpenBLAS the product form rounds up to inf, so the pair
+        # is recomputed.
+        q = np.array([7.111855097067328e+153, 3.5635135416242203e+152])
+        x = np.array([[-6.1769075095519435e+153, -1.4263718075059778e+153]])
+        (out,) = true_values(q, x, "sqdist")
+        assert out == pytest.approx(np.finfo(np.float64).max, rel=1e-14)
 
 
 def small_world(seed=0, n=200, dim=6):
@@ -335,7 +374,158 @@ def every_method(kind, seed=0, n=150, dim=6):
     return queries, db, scored
 
 
+def _pass_reference(scored, kind, queries, db, exact,
+                    max_pairs=DEFAULT_PAIR_BUDGET, seed=0):
+    """The stats evaluate_methods sums, pair by pair: estimates from
+    estimate_batch on the (gathered) codes, exact values from
+    ``exact(query_number, rows)`` and the same seeded row draws."""
+    n = len(db)
+    if len(queries) * n <= max_pairs:
+        draws = [slice(None)] * len(queries)
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [rng.permutation(n)[: max(1, max_pairs // len(queries))]
+                 for _ in queries]
+    sums = [[0.0, 0.0, 0.0] for _ in scored]
+    n_pairs = n_rel = 0
+    for i, rows in enumerate(draws):
+        t = exact(i, rows)
+        keep = t > REL_ERR_FLOOR
+        n_pairs += t.size
+        n_rel += int(keep.sum())
+        for (method, codes), acc in zip(scored, sums):
+            d = estimate_batch(method, queries[i], codes[rows], kind) - t
+            acc[0] += float(d @ d)
+            acc[1] += float(d.sum())
+            if kind == "sqdist" and keep.any():
+                acc[2] += float((np.abs(d[keep]) / t[keep]).sum())
+    return [
+        EvalStats(kind=kind, num_pairs=n_pairs, mse=sq / n_pairs,
+                  mean_signed_error=signed / n_pairs,
+                  mean_rel_error=(rel / n_rel if n_rel else None)
+                  if kind == "sqdist" else None,
+                  excluded_pairs=n_pairs - n_rel if kind == "sqdist" else 0)
+        for sq, signed, rel in sums
+    ]
+
+
+def _difference_form(queries, db):
+    """Exact values Σ(x − q)² as one einsum over the rows of each query."""
+    def exact(i, rows):
+        diff = db[rows] - queries[i]
+        return np.einsum("ij,ij->i", diff, diff)
+    return exact
+
+
+def _assert_rounding_close(got, ref):
+    """Equal pair counts; the error means within float64 rounding."""
+    assert (got.num_pairs, got.excluded_pairs) == (ref.num_pairs,
+                                                   ref.excluded_pairs)
+    for field in ("mse", "mean_signed_error", "mean_rel_error"):
+        assert getattr(got, field) == pytest.approx(getattr(ref, field),
+                                                    rel=1e-12)
+
+
 class TestEvaluateMethods:
+    @pytest.mark.parametrize("max_pairs", [10**7, 300])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
+    def test_scan_matches_adc_scan_for_every_code_dtype(self, kind, dtype,
+                                                        max_pairs):
+        # The pass scans an intp index converted once; its estimates are
+        # adc_scan's bit for bit, so the stats equal a pair-by-pair
+        # estimate_batch loop over the same exact values.
+        queries, db, scored = every_method(kind)
+        scored = [(m, c.astype(dtype)) for m, c in scored]
+        assert len(queries) * len(db) <= metrics.EVAL_TILE_ENTRIES
+        tile = true_values(queries, db, kind)
+
+        def exact(i, rows):
+            if isinstance(rows, slice):
+                return tile[i]
+            return true_values(queries[i], db[rows], kind)
+
+        got = evaluate_methods(scored, kind, queries, db, max_pairs=max_pairs,
+                               seed=3)
+        assert got == _pass_reference(scored, kind, queries, db, exact,
+                                      max_pairs=max_pairs, seed=3)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_offset_pairs_keep_the_difference_form(self, offset):
+        # At a large offset every pair is far inside the recompute zone, so
+        # every exact value is the difference form's, bit for bit.
+        rng, db, queries, model, _ = small_world()
+        db, queries = db + offset, queries + offset
+        scored = [(model, opq_encode(model, db))]
+        for max_pairs in (10**7, 300):
+            got = evaluate_methods(scored, "sqdist", queries, db,
+                                   max_pairs=max_pairs)
+            assert got == _pass_reference(scored, "sqdist", queries, db,
+                                          _difference_form(queries, db),
+                                          max_pairs=max_pairs)
+
+    def test_copies_of_a_query_score_exactly_zero(self):
+        # Queries equal to database rows, duplicated rows and a query 1e-9
+        # away from a row: those pairs are excluded as in the difference
+        # form, and copies score exactly 0.
+        rng, db, _, model, _ = small_world()
+        db[10:20] = db[0]
+        db[150:] = db[100]
+        queries = db[[0, 5, 100, 120]]
+        queries[3] += 1e-9
+        scored = [(model, opq_encode(model, db))]
+        (got,) = evaluate_methods(scored, "sqdist", queries, db)
+        assert got.excluded_pairs == 11 + 1 + 51 + 1
+        (ref,) = _pass_reference(scored, "sqdist", queries, db,
+                                 _difference_form(queries, db))
+        _assert_rounding_close(got, ref)
+        values = true_values(queries, db, "sqdist")
+        copies = (db[None, :, :] == queries[:, None, :]).all(axis=2)
+        assert copies.sum() == 63 and (values[copies] == 0).all()
+        assert (values[~copies] > 0).all()
+
+    def test_distances_at_the_floor(self):
+        # Rows about 1e-6 from their query, norms about 2e-6: some pairs are
+        # at or below REL_ERR_FLOOR in the difference form but above it, and
+        # above SQDIST_MARGIN·(‖q‖² + ‖x‖²), in the product form. The floor
+        # of the margin recomputes them, so the same pairs are excluded.
+        rng = np.random.default_rng(7)
+        queries = rng.standard_normal((4, 8))
+        queries *= 2e-6 / np.linalg.norm(queries, axis=1, keepdims=True)
+        steps = 1e-6 * (1 + np.arange(-100, 100) * 1e-16)
+        lines = rng.standard_normal((4, 8))
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        db = np.concatenate([q + np.outer(steps, v) for q, v in zip(queries, lines)])
+        exact = _difference_form(queries, db)
+        diff = np.stack([exact(i, slice(None)) for i in range(4)])
+        norms = (db ** 2).sum(axis=1) + (queries ** 2).sum(axis=1)[:, None]
+        product = norms - 2 * queries @ db.T
+        floor_only = (diff <= REL_ERR_FLOOR) & (product > REL_ERR_FLOOR) & (
+            product > metrics.SQDIST_MARGIN * norms)
+        assert floor_only.any()
+        model = train_opq(db, 2, 4, outer_iters=1, kmeans_iters=5, seed=0)
+        scored = [(model, opq_encode(model, db))]
+        (got,) = evaluate_methods(scored, "sqdist", queries, db)
+        (ref,) = _pass_reference(scored, "sqdist", queries, db, exact)
+        assert 0 < got.excluded_pairs < got.num_pairs
+        _assert_rounding_close(got, ref)
+
+    @pytest.mark.parametrize("bad", ["out of range", "bool", "float"])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_bad_codes_raise_before_scoring(self, monkeypatch, which, bad):
+        queries, db, scored = every_method("sqdist")
+        method, codes = scored[which]
+        codes = {"out of range": np.where(codes == 0, 8, codes),
+                 "bool": codes.astype(bool),
+                 "float": codes.astype(np.float64)}[bad]
+        scored[which] = (method, codes)
+        calls = []
+        monkeypatch.setattr(metrics, "true_values",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="out of range|integers"):
+            evaluate_methods(scored, "sqdist", queries, db)
+        assert calls == []
+
     @pytest.mark.parametrize("max_pairs", [10**7, 300])
     @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
     def test_equals_separate_evaluations(self, kind, max_pairs):
@@ -354,7 +544,7 @@ class TestEvaluateMethods:
         queries, db, scored = every_method("sqdist")
         scored[bad] = (scored[bad][0], scored[bad][1][:-1])
         scans = []
-        monkeypatch.setattr(metrics, "estimate_batch",
+        monkeypatch.setattr(metrics, "true_values",
                             lambda *args: scans.append(args))
         with pytest.raises(ValueError, match="codes rows"):
             evaluate_methods(scored, "sqdist", queries, db)
@@ -363,7 +553,7 @@ class TestEvaluateMethods:
     def test_queries_of_another_width_raise_before_scoring(self, monkeypatch):
         queries, db, scored = every_method("sqdist")
         scans = []
-        monkeypatch.setattr(metrics, "estimate_batch",
+        monkeypatch.setattr(metrics, "true_values",
                             lambda *args: scans.append(args))
         for kind in ("scalar", "sqdist"):
             with pytest.raises(ValueError, match="eval queries have dimension "
