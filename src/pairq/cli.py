@@ -115,12 +115,12 @@ def _cmd_train(args) -> int:
     queries = None
     if args.method == "pairq":
         queries = _load_vectors(args.train_queries, "train queries", args.mode)
-    model = fit_method(
+    model, codes = fit_method(
         args.mode, args.method, database, queries, args.blocks,
         args.codebook_size, outer_iters=args.outer_iters,
         kmeans_iters=args.kmeans_iters, seed=args.seed,
     )
-    mse = compute_mse_table(model, database) if args.mse else None
+    mse = compute_mse_table(model, database, codes) if args.mse else None
     save_model(args.out, model, mse_table=mse)
     opq = model.opq if isinstance(model, PairQModel) else model
     print(
@@ -182,7 +182,8 @@ def _cmd_bench(args) -> int:
         max_pairs=args.max_pairs,
         seed=args.seed,
     )
-    # An empty train-queries file fails only the pairq cells.
+    # An empty train-queries file fails only the pairq cells; one with a
+    # NaN or infinite entry fails the whole grid before any training.
     report = run_experiment(
         config,
         read_rows(args.database, "database"),

@@ -12,10 +12,12 @@ error-mean table, so when it runs after ``opq`` its ``train_encode`` timing
 covers just that table. Every ``pairq`` cell learns its own query
 transform.
 
-Every cell is trained and encoded first. The grid's fitted cells are then
-scored together in one ``metrics.evaluate_methods`` pass, which computes
-each evaluation query's exact values once for all of them. A cell whose
-training or encoding raises is recorded as failed without taking down the
+Every cell is trained first, and training yields the database's codes:
+``train_opq``'s last pass encodes the rows it trained on, so the grid
+encodes each database once per trained model. The grid's fitted cells are
+then scored together in one ``metrics.evaluate_methods`` pass, which
+computes each evaluation query's exact values once for all of them. A cell
+whose training raises is recorded as failed without taking down the
 rest of the grid; an exception inside the shared pass is recorded on every
 cell that pass was scoring. Each cell gets its error reduction against its
 block count's ``opq`` cell, whatever the method order; the column stays
@@ -180,8 +182,9 @@ def fit_method(
     outer_iters: int = DEFAULT_OUTER_ITERS,
     kmeans_iters: int = DEFAULT_KMEANS_ITERS,
     seed: int = 0,
-) -> OPQModel | PairQModel:
-    """Train the ``opq`` or ``pairq`` model of a task.
+) -> tuple[OPQModel | PairQModel, np.ndarray]:
+    """Train the ``opq`` or ``pairq`` model of a task, with the database's
+    codes.
 
     ``opq`` quantizes the database directly; ``pairq`` learns the task's
     query-moment transform from ``train_queries`` and quantizes the
@@ -189,25 +192,31 @@ def fit_method(
     that ``num_blocks`` does not divide. ``opq-bc`` is the ``opq`` model
     plus ``compute_mse_table``, so it is not trained here. Cosine inputs
     must already be normalized.
+
+    Returns ``(model, codes)``: the codes are those of training's last
+    pass, the same bits as ``encode(model, database)``.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
     opts = dict(outer_iters=outer_iters, kmeans_iters=kmeans_iters, seed=seed)
     if method == "opq":
-        return train_opq(database, num_blocks, codebook_size, pad=True, **opts)
+        model = train_opq(database, num_blocks, codebook_size, pad=True, **opts)
+        return model, model.codes
     if method == "pairq":
         learn = (
             learn_sqdist_transform if task_kind(task) == SQDIST
             else learn_scalar_transform
         )
-        return train_pairq(
+        model = train_pairq(
             learn(train_queries), database, num_blocks, codebook_size, **opts
         )
+        return model, model.opq.codes
     raise ValueError(f"fit_method trains 'opq' or 'pairq', got {method!r}")
 
 
 def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
-    """Codes for raw database vectors under a ``fit_method`` model."""
+    """Codes for raw database vectors under a ``fit_method`` model, such
+    as a model from ``load_model``, which holds no training codes."""
     if isinstance(model, PairQModel):
         return pairq_encode(model, database)
     return opq_encode(model, database)
@@ -216,10 +225,16 @@ def encode(model: OPQModel | PairQModel, database) -> np.ndarray:
 def run_experiment(
     config: ExperimentConfig, database, train_queries, eval_queries
 ) -> Report:
-    """Train and encode every grid cell of the config, then score the
-    fitted cells in one evaluation pass. The evaluation queries and the
-    database are checked before any training; training queries that cannot
-    train a transform fail only the ``pairq`` cells, which alone use them."""
+    """Train every grid cell of the config, which yields its codes, then
+    score the fitted cells in one evaluation pass.
+
+    All three arrays are checked before any training, and a check that
+    fails raises ValueError for the whole grid: an empty database or set of
+    evaluation queries, evaluation queries of another width than the
+    database, and any of the three arrays that is not 2-D or holds a NaN or
+    infinite entry, the training queries included. Training queries that
+    pass those checks but cannot train a transform, being empty or of
+    another width, fail only the ``pairq`` cells, which alone use them."""
     eval_q, database = check_eval_inputs(eval_queries, database)
     train_q = as_matrix(train_queries, "train queries")
     if config.task == "cosine":
@@ -230,7 +245,7 @@ def run_experiment(
 
     dim = database.shape[1]
     cells: list[CellResult] = []
-    # (cell, scorer, codes) for every cell that trained and encoded.
+    # (cell, scorer, codes) for every cell that trained.
     fitted_cells: list[tuple[CellResult, object, np.ndarray]] = []
     for num_blocks in config.block_counts:
         # (model, codes) per trained family; opq and opq-bc share "opq".
@@ -249,12 +264,11 @@ def run_experiment(
                 t0 = time.perf_counter()
                 family = "opq" if method == "opq-bc" else method
                 if family not in fitted:
-                    model = fit_method(
+                    fitted[family] = fit_method(
                         config.task, family, database, train_q, num_blocks,
                         config.codebook_size, outer_iters=config.outer_iters,
                         kmeans_iters=config.kmeans_iters, seed=config.seed,
                     )
-                    fitted[family] = (model, encode(model, database))
                 scorer, codes = fitted[family]
                 if method == "opq-bc":
                     scorer = BiasCorrected(

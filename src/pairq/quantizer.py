@@ -507,13 +507,17 @@ class OPQModel:
     ``input_dim`` is the dimension the model was trained on, before any
     zero-padding; the rotation and codebook live in the padded space.
     ``trace`` holds the end-of-iteration objectives of the alternating fit
-    and is non-increasing.
+    and is non-increasing. ``codes`` holds the training rows' codes from the
+    fit's last pass, the same bits as ``opq_encode(model, data)``. Both come
+    from training: ``save_model`` does not write them, and a model from
+    ``load_model`` has an empty trace and ``codes`` None.
     """
 
     rotation: np.ndarray
     codebook: PQCodebook
     input_dim: int
     trace: list[float] = field(default_factory=list)
+    codes: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -554,7 +558,8 @@ def train_opq(
     reconstruction. The rotation starts at the identity, so with
     ``outer_iters=0`` the result is a plain product quantizer. With ``pad``
     a dimension that ``num_blocks`` does not divide is zero-padded up to
-    the next multiple.
+    the next multiple. The last pass encodes the rotated rows under the
+    final rotation and codebook; the model keeps those codes.
     """
     x = as_matrix(data, "data")
     check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
@@ -579,7 +584,8 @@ def train_opq(
             previous = codebook.centroids
             codebook = _fit_blocks(x_rot, num_blocks, lambda j, block: _lloyd(
                 block, previous[j], kmeans_iters, context="codebook refit"))
-        x_hat = pq_decode(codebook, pq_encode(codebook, x_rot))
+        codes = pq_encode(codebook, x_rot)
+        x_hat = pq_decode(codebook, codes)
         # x_rot takes the residual in place and x_hat goes once the rotation
         # is solved, so a pass holds no (N, d) array of the one before it
         # beyond the x_rot that its product replaces.
@@ -594,6 +600,7 @@ def train_opq(
         codebook=codebook,
         input_dim=input_dim,
         trace=trace,
+        codes=codes,
     )
 
 

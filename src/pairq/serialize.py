@@ -175,8 +175,10 @@ def load_model(path):
 
     Returns:
         (model, mse_table) where model is an OPQModel or PairQModel and
-        mse_table is an MseTable or None. Training diagnostics (objective
-        trace, convergence flag) are not stored, so they come back empty.
+        mse_table is an MseTable or None. What training alone yields (the
+        objective trace, the convergence flag and the training rows' codes)
+        is not stored: the trace comes back empty, the flag and the codes
+        None.
     """
     with open(path, "rb") as fh:
         return _parse(fh.read())

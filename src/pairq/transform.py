@@ -151,7 +151,8 @@ def train_pairq(
     """Quantize the transformed database.
 
     The transformed vectors are zero-padded when the transform dimension
-    is not divisible by ``num_blocks``.
+    is not divisible by ``num_blocks``. ``model.opq.codes`` holds the
+    database's codes from training, the same bits as ``pairq_encode``.
     """
     z = transform_database(transform, database)
     opq = train_opq(

@@ -29,7 +29,7 @@ from pairq.experiment import (
 )
 from pairq.metrics import DEFAULT_PAIR_BUDGET, evaluate_method, true_values
 from pairq.quantizer import kmeans, train_opq, train_pq
-from pairq.serialize import save_model
+from pairq.serialize import load_model, save_model
 from pairq.transform import train_pairq
 
 
@@ -267,17 +267,18 @@ class TestRunExperiment:
                 task="sqdist", methods=("opq", "opq-bc", "pairq"),
                 max_pairs=max_pairs,
             ), *tiny_data())
-            opq = fit_method("sqdist", "opq", data.database, None, 2, 8,
-                             outer_iters=1, kmeans_iters=8)
-            pair = fit_method("sqdist", "pairq", data.database,
-                              data.train_queries, 2, 8, outer_iters=1,
-                              kmeans_iters=8)
+            opq, opq_codes = fit_method("sqdist", "opq", data.database, None,
+                                        2, 8, outer_iters=1, kmeans_iters=8)
+            pair, pair_codes = fit_method("sqdist", "pairq", data.database,
+                                          data.train_queries, 2, 8,
+                                          outer_iters=1, kmeans_iters=8)
             bc = BiasCorrected(opq=opq, mse=compute_mse_table(opq, data.database))
-            for method, scorer, model in (("opq", opq, opq), ("opq-bc", bc, opq),
-                                          ("pairq", pair, pair)):
+            for method, scorer, codes in (("opq", opq, opq_codes),
+                                          ("opq-bc", bc, opq_codes),
+                                          ("pairq", pair, pair_codes)):
                 stats = evaluate_method(
-                    scorer, "sqdist", data.eval_queries, data.database,
-                    experiment.encode(model, data.database), max_pairs=max_pairs,
+                    scorer, "sqdist", data.eval_queries, data.database, codes,
+                    max_pairs=max_pairs,
                 )
                 cell = report.cell(method, 2)
                 assert cell.num_pairs == stats.num_pairs
@@ -296,6 +297,32 @@ class TestRunExperiment:
                            "the database has dimension 8"):
             run_experiment(tiny_config(), database, train_q, eval_q[:, :5])
         assert fitted == []
+
+    def test_non_finite_train_queries_fail_the_grid_before_training(
+        self, monkeypatch
+    ):
+        fitted = []
+        monkeypatch.setattr(experiment, "fit_method",
+                            lambda *a, **k: fitted.append(a))
+        database, train_q, eval_q = tiny_data()
+        train_q[3, 1] = np.nan
+        with pytest.raises(ValueError, match="train queries contains NaN or "
+                           "infinite entries"):
+            run_experiment(tiny_config(), database, train_q, eval_q)
+        assert fitted == []
+
+    def test_grid_encodes_no_database_after_training(self, monkeypatch):
+        # Training's last pass yields the codes; the grid encodes nothing
+        # again.
+        def no_encode(*args):
+            raise AssertionError("the grid encoded a database after training")
+
+        monkeypatch.setattr(experiment, "encode", no_encode)
+        report = run_experiment(tiny_config(
+            task="sqdist", methods=("opq", "opq-bc", "pairq"),
+            block_counts=(2, 4),
+        ), *tiny_data())
+        assert [c.error for c in report.cells] == [None] * 6
 
     def test_train_queries_of_another_width_fail_only_pairq_cells(self):
         database, train_q, eval_q = tiny_data()
@@ -316,6 +343,21 @@ class TestFitMethod:
             fit_method("scalar", "aq", *args)
         with pytest.raises(ValueError, match="task"):
             fit_method("l1", "opq", *args)
+
+    @pytest.mark.parametrize("method", ["opq", "pairq"])
+    @pytest.mark.parametrize("task", ["scalar", "cosine", "sqdist"])
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_codes_are_those_encode_gives(self, task, method, dim):
+        # At two blocks, dimension 7 pads the opq and the scalar pairq
+        # space; the lifted sqdist pairq space pads at dimension 8.
+        database, train_q, _ = tiny_data(dim=dim)
+        if task == "cosine":
+            database, train_q = normalize_rows(database), normalize_rows(train_q)
+        model, codes = fit_method(task, method, database, train_q, 2, 8,
+                                  outer_iters=2, kmeans_iters=6, seed=1)
+        expected = experiment.encode(model, database)
+        assert codes.dtype == expected.dtype == np.uint8
+        assert np.array_equal(codes, expected)
 
     def test_grid_trains_opq_once_per_block_count(self, monkeypatch):
         # opq and opq-bc share one OPQ model per block count.
@@ -532,12 +574,25 @@ class TestCli:
                   for n in ("database", "train_queries"))
         if task == "cosine":
             db, tq = normalize_rows(db), normalize_rows(tq)
-        model = fit_method(task, method, db, tq, 2, 4, outer_iters=1,
-                           kmeans_iters=5, seed=3)
+        model, _ = fit_method(task, method, db, tq, 2, 4, outer_iters=1,
+                              kmeans_iters=5, seed=3)
         table = compute_mse_table(model, db) if mse else None
         save_model("api.pairq", model, mse_table=table)
         with open("cli.pairq", "rb") as a, open("api.pairq", "rb") as b:
             assert a.read() == b.read()
+
+    def test_train_mse_table_uses_the_training_codes(self, workdir, monkeypatch):
+        def no_encode(*args):
+            raise AssertionError("the error-mean table encoded the database again")
+
+        run_cli("synth", "--dim", 6, "--database-size", 120,
+                "--train-queries", 10, "--eval-queries", 4, "--out-dir", "d")
+        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        code = run_cli("train", "--mode", "sqdist", "--method", "opq", "--mse",
+                       "--database", "d/database.fvecs", "-M", 2, "-K", 4,
+                       "--outer-iters", 1, "--kmeans-iters", 5, "--out", "m")
+        assert code == 0
+        assert load_model("m")[1] is not None
 
     def test_train_rejects_mse_for_pairq(self, workdir, capsys):
         run_cli("synth", "--dim", 4, "--database-size", 50,
@@ -845,6 +900,29 @@ class TestCli:
         assert sorted(payload["config"]) == sorted(
             f.name for f in dataclasses.fields(ExperimentConfig)
         )
+
+    def test_bench_rejects_non_finite_train_queries_before_training(
+        self, workdir, capsys, monkeypatch
+    ):
+        synth_bench_files(4, 60, 20, 4)
+        train_q = read_fvecs(BENCH_FILES[3])
+        train_q[2, 0] = np.inf
+        write_fvecs(BENCH_FILES[3], train_q)
+        fitted = []
+        monkeypatch.setattr(experiment, "fit_method",
+                            lambda *a, **k: fitted.append(a))
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            code = run_cli("bench", "--methods", "opq,pairq", "--blocks", "2",
+                           "-K", 4, *BENCH_FILES, "--out-csv", "r.csv")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: train queries contains NaN or infinite entries\n"
+        )
+        assert "FAILED" not in captured.out
+        assert fitted == []
+        assert not os.path.exists("r.csv")
 
     def test_bench_rejects_eval_queries_of_another_width(
         self, workdir, capsys, monkeypatch

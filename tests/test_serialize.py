@@ -97,6 +97,26 @@ class TestRoundTrip:
         np.testing.assert_allclose(after, before, atol=1e-5 * max(scale, 1.0))
         np.testing.assert_array_equal(pairq_encode(loaded, db), codes)
 
+    def test_training_codes_are_not_written(self, tmp_model):
+        # The codes a trained model holds leave the file as it is, and a
+        # loaded model holds none.
+        x, opq = make_opq()
+        rng = np.random.default_rng(3)
+        pair = train_pairq(learn_sqdist_transform(rng.standard_normal((60, 7))),
+                           x, 4, 8, outer_iters=1, kmeans_iters=10, seed=0)
+        for model, inner in ((opq, opq), (pair, pair.opq)):
+            assert inner.codes is not None
+            save_model(tmp_model, model)
+            with open(tmp_model, "rb") as fh:
+                written = fh.read()
+            inner.codes = None
+            save_model(tmp_model, model)
+            with open(tmp_model, "rb") as fh:
+                assert fh.read() == written
+            loaded, _ = load_model(tmp_model)
+            loaded = loaded.opq if isinstance(loaded, PairQModel) else loaded
+            assert loaded.codes is None
+
     def test_rejects_unknown_model_type(self, tmp_model):
         with pytest.raises(TypeError, match="unsupported"):
             save_model(tmp_model, {"not": "a model"})
