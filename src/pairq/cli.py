@@ -134,9 +134,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_encode(args) -> int:
     model, _ = load_model(args.model)
-    database = _load_vectors(args.database, "database", args.mode)
+    # encode converts the float32 rows to float64 one chunk at a time; the
+    # cosine mode normalizes them in float64 first, as train and eval do.
+    if args.mode == "cosine":
+        database = _load_vectors(args.database, "database", args.mode)
+    else:
+        database = read_rows(args.database, "database")
     codes = encode(model, database)
-    write_ivecs(args.out, codes.astype(np.int32))
+    write_ivecs(args.out, codes)
     print(f"wrote {args.out} ({codes.shape[0]} codes, {codes.shape[1]} blocks)")
     return 0
 

@@ -2,7 +2,9 @@
 
 Files use the common .fvecs/.ivecs layout: each record is a little-endian
 int32 dimension followed by that many little-endian float32 (or int32)
-values. All records in a file must share one dimension.
+values. All records in a file must share one dimension. Reading, writing
+and synthetic draws walk the rows in chunks of about ``CHUNK_ENTRIES``
+values, so none holds a second copy of the whole array.
 
 Synthetic data draws zero-mean Gaussians with controlled anisotropy. The
 covariance spectrum is lambda_i = exp(-decay * i / (dim - 1)) under a
@@ -13,35 +15,48 @@ makes the query-aware transforms differ from plain rotation learning.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, psd_factors
+from .linalg import CHUNK_ENTRIES, as_matrix, chunk_ends, psd_factors
 
 
 def _read_records(path, dtype: np.dtype) -> np.ndarray:
+    """The records' values as one (N, dim) array, read into it one chunk of
+    about ``CHUNK_ENTRIES`` values at a time through one reused buffer: the
+    read holds the result and one chunk, not the file twice."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) == 0:
-        return np.empty((0, 0), dtype=dtype)
-    if len(raw) % 4 != 0:
-        raise ValueError(f"{path}: size {len(raw)} is not a multiple of 4")
-    dim = int(np.frombuffer(raw[:4], dtype="<i4")[0])
-    if dim < 1:
-        raise ValueError(f"{path}: first record has dimension {dim}")
-    record = 4 * (dim + 1)
-    if len(raw) % record != 0:
-        raise ValueError(f"{path}: truncated record at end of file")
-    table = np.frombuffer(raw, dtype="<i4").reshape(-1, dim + 1)
-    if not (table[:, 0] == dim).all():
-        bad = int(np.flatnonzero(table[:, 0] != dim)[0])
-        raise ValueError(
-            f"{path}: record {bad} has dimension {table[bad, 0]}, expected {dim}"
-        )
-    payload = np.frombuffer(raw, dtype=dtype).reshape(-1, dim + 1)[:, 1:]
-    return np.ascontiguousarray(payload)
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:
+            return np.empty((0, 0), dtype=dtype)
+        if size % 4 != 0:
+            raise ValueError(f"{path}: size {size} is not a multiple of 4")
+        dim = int(np.frombuffer(fh.read(4), dtype="<i4")[0])
+        if dim < 1:
+            raise ValueError(f"{path}: first record has dimension {dim}")
+        if size % (4 * (dim + 1)) != 0:
+            raise ValueError(f"{path}: truncated record at end of file")
+        n = size // (4 * (dim + 1))
+        out = np.empty((n, dim), dtype=dtype)
+        rows = max(1, CHUNK_ENTRIES // (dim + 1))
+        table = np.empty((min(n, rows), dim + 1), dtype="<i4")
+        fh.seek(0)
+        for start in range(0, n, rows):
+            chunk = table[: min(rows, n - start)]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path}: truncated record at end of file")
+            bad = np.flatnonzero(chunk[:, 0] != dim)
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"{path}: record {start + i} has dimension {chunk[i, 0]}, "
+                    f"expected {dim}"
+                )
+            out[start : start + len(chunk)] = chunk[:, 1:].view(dtype)
+    return out
 
 
 def read_fvecs(path) -> np.ndarray:
@@ -61,22 +76,28 @@ def read_ivecs(path) -> np.ndarray:
 
 
 def _write_records(path, data: np.ndarray, dtype: np.dtype) -> None:
+    """Write the rows of a 2-d array as records of ``dtype`` values, cast
+    one chunk of about ``CHUNK_ENTRIES`` values at a time into one reused
+    record buffer."""
     if data.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {data.shape}")
     n, dim = data.shape
     if n > 0 and dim < 1:
         raise ValueError("records must have at least one component")
-    body = np.empty((n, dim + 1), dtype="<i4")
+    rows = max(1, CHUNK_ENTRIES // (dim + 1))
+    body = np.empty((min(n, rows), dim + 1), dtype="<i4")
     body[:, 0] = dim
-    body[:, 1:] = np.ascontiguousarray(data, dtype=dtype).view("<i4")
+    values = body[:, 1:].view(dtype)
     with open(path, "wb") as fh:
-        fh.write(body.tobytes())
+        for start in range(0, n, rows):
+            m = min(rows, n - start)
+            values[:m] = data[start : start + m]
+            fh.write(body[:m])
 
 
 def write_fvecs(path, data) -> None:
     """Write an (N, dim) array as float32 records (values are cast)."""
-    arr = np.asarray(data, dtype="<f4")
-    _write_records(path, arr, np.dtype("<f4"))
+    _write_records(path, np.asarray(data), np.dtype("<f4"))
 
 
 def write_ivecs(path, data) -> None:
@@ -87,7 +108,7 @@ def write_ivecs(path, data) -> None:
     info = np.iinfo(np.int32)
     if arr.size and (arr.min() < info.min or arr.max() > info.max):
         raise ValueError("values do not fit in int32")
-    _write_records(path, arr.astype("<i4"), np.dtype("<i4"))
+    _write_records(path, arr, np.dtype("<i4"))
 
 
 @dataclass
@@ -143,10 +164,32 @@ def gen_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticData:
     rng = np.random.default_rng(seed)
     db_factor = _factor(spec.dim, spec.database_decay, rng)
     q_factor = _factor(spec.dim, spec.query_decay, rng)
-    database = rng.standard_normal((spec.num_database, spec.dim)) @ db_factor.T
-    train_q = rng.standard_normal((spec.num_train_queries, spec.dim)) @ q_factor.T
-    eval_q = rng.standard_normal((spec.num_eval_queries, spec.dim)) @ q_factor.T
-    return SyntheticData(database=database, train_queries=train_q, eval_queries=eval_q)
+    return SyntheticData(
+        database=_draw(rng, spec.num_database, db_factor),
+        train_queries=_draw(rng, spec.num_train_queries, q_factor),
+        eval_queries=_draw(rng, spec.num_eval_queries, q_factor),
+    )
+
+
+def _draw(rng, n: int, factor: np.ndarray) -> np.ndarray:
+    """``rng.standard_normal((n, dim)) @ factor.T``, drawn and multiplied
+    one chunk of about ``CHUNK_ENTRIES`` values at a time into the result.
+
+    The normals come off the stream in the same order, and a tail shorter
+    than one chunk joins the chunk before it, so no product is small enough
+    for BLAS to round it another way: up to 193 columns the result is the
+    whole-array product bit for bit. From 194 columns (OpenBLAS 0.3.31)
+    BLAS rounds the last rows of a product differently, so a few rows per
+    chunk can differ from it in the last bits.
+    """
+    dim = factor.shape[0]
+    out = np.empty((n, dim))
+    start = 0
+    for end in chunk_ends(n, max(1, CHUNK_ENTRIES // dim)):
+        np.matmul(rng.standard_normal((end - start, dim)), factor.T,
+                  out=out[start:end])
+        start = end
+    return out
 
 
 def second_moment_condition(queries) -> float:

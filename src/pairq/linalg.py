@@ -24,12 +24,31 @@ ZERO_EIG_RTOL = 1e-10
 # zero by pseudo_inverse, the general SVD route.
 PINV_CUTOFF_RTOL = 1e-10
 
+# Values per array of a pass that walks its rows in chunks: 2**19 float64
+# values (4 MB). Encoding, vector file IO and synthetic draws hold chunks of
+# about this size instead of copies of the whole array.
+CHUNK_ENTRIES = 1 << 19
+
+
+def chunk_ends(n: int, rows: int) -> list[int]:
+    """Ends of the chunks of ``rows`` rows that cover n rows, with a tail
+    shorter than ``rows`` joined to the chunk before it: only a batch of
+    fewer than ``rows`` rows has a chunk that short."""
+    return list(range(rows, n - rows + 1, rows)) + [n]
+
+
+def as_rows(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a 2-d array of its own dtype: the shape check of
+    ``as_matrix``, for passes that run ``as_matrix`` on each chunk of rows."""
+    out = np.asarray(a)
+    if out.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
+    return out
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-d float64 array, rejecting non-finite entries."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
+    out = as_rows(np.asarray(a, dtype=np.float64), name)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return out

@@ -6,10 +6,10 @@ built on it) walks the rows in tiles of about ``TILE_ENTRIES`` scores in one
 reused buffer. Each tile is one product ``[x, 1] @ [−2cᵀ; ‖c‖²]``, which is
 the score ``‖c‖² − 2 x·c``; the argmin goes straight into the labels and the
 winner's score is gathered. The rows with their column of ones are built
-once per Lloyd fit and once per encoded block, not once per pass. ``‖x‖²``,
-the same for every centroid of a row, plays no part in the pick: Lloyd adds
-it to the winner's score and clamps at 0 for the squared distance, and
-``pq_encode`` keeps only the labels.
+once per Lloyd fit and once per encoded block of a chunk, not once per
+pass. ``‖x‖²``, the same for every centroid of a row, plays no part in the
+pick: Lloyd adds it to the winner's score and clamps at 0 for the squared
+distance, and ``pq_encode`` keeps only the labels.
 
 k-means++ seeding makes the draws of ``Generator.choice(n, p=D²/ΣD²)`` with
 the same uniforms, about six passes over the N points per draw:
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, procrustes
+from .linalg import CHUNK_ENTRIES, as_matrix, as_rows, chunk_ends, procrustes
 
 # Largest codebook size representable in one byte per sub-index.
 MAX_CODEBOOK = 256
@@ -135,7 +135,7 @@ def _assign_batch(rows1, centroids):
     rows = max(1, TILE_ENTRIES // k)
     # The last tile takes the remainder, so only a batch of fewer than
     # ``rows`` rows has a short tile, whose product BLAS rounds otherwise.
-    ends = list(range(rows, n - rows + 1, rows)) + [n]
+    ends = chunk_ends(n, rows)
     score = np.empty((min(n, 2 * rows - 1), weights.shape[1]))
     tile_rows = np.arange(score.shape[0])
     labels = np.empty(n, dtype=np.intp)
@@ -441,7 +441,9 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     the products ``x·c`` differently by batch shape, so a row within
     rounding of a tie between two centroids can get another code when it
     is encoded alone or in another batch; training stays bit-identical per
-    seed.
+    seed. ``opq_encode`` and ``pairq_encode`` call it on chunks of whole
+    tiles (``encode_in_chunks``), which keeps each tile where one call on
+    all their rows puts it.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -530,15 +532,23 @@ class OPQModel:
         return self.codebook.converged
 
 
-def apply_rotation(model: OPQModel, data) -> np.ndarray:
-    """Zero-pad to the model dimension and rotate."""
-    x = as_matrix(data, "data")
+def _check_input_dim(model: OPQModel, x: np.ndarray) -> None:
     if x.shape[1] != model.input_dim:
         raise ValueError(
             f"input dimension {x.shape[1]} does not match model "
             f"dimension {model.input_dim}"
         )
+
+
+def _rotate(model: OPQModel, x: np.ndarray) -> np.ndarray:
     return pad_columns(x, model.dim) @ model.rotation.T
+
+
+def apply_rotation(model: OPQModel, data) -> np.ndarray:
+    """Zero-pad to the model dimension and rotate."""
+    x = as_matrix(data, "data")
+    _check_input_dim(model, x)
+    return _rotate(model, x)
 
 
 def train_opq(
@@ -604,9 +614,44 @@ def train_opq(
     )
 
 
+def encode_in_chunks(model: OPQModel, rows: np.ndarray, prepare) -> np.ndarray:
+    """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time.
+
+    ``prepare`` maps a chunk of ``rows`` to float64 rows of the model's
+    input space, checked by ``as_matrix``; each chunk is then padded,
+    rotated and encoded by ``pq_encode``. A chunk is a whole number of
+    assignment tiles, about ``CHUNK_ENTRIES`` values per array at the
+    widest of the rows and the model, and a tail shorter than one chunk
+    joins the chunk before it. Every tile of ``pq_encode`` therefore falls
+    where one call on all the rows puts it. So do the rows of the products
+    before it, which BLAS rounds alike in a chunk and in the whole batch up
+    to 193 output columns; at wider products (seen from 194 columns with
+    OpenBLAS 0.3.31) it rounds the last rows of a product, or of a
+    thread's share, differently, and a near-tie code can move (README).
+    """
+    codes = np.empty((rows.shape[0], model.codebook.num_blocks), dtype=np.uint8)
+    tile = max(1, TILE_ENTRIES // model.codebook.codebook_size)
+    width = max(rows.shape[1], model.dim)
+    step = tile * max(1, CHUNK_ENTRIES // (width * tile))
+    start = 0
+    for end in chunk_ends(rows.shape[0], step):
+        x = _rotate(model, prepare(rows[start:end]))
+        codes[start:end] = pq_encode(model.codebook, x)
+        # Free this chunk's rows before the next chunk's are made.
+        del x
+        start = end
+    return codes
+
+
 def opq_encode(model: OPQModel, data) -> np.ndarray:
-    """Codes for data given in the model's input space."""
-    return pq_encode(model.codebook, apply_rotation(model, data))
+    """Codes for data given in the model's input space, as ``pq_encode``
+    gives them for all the rotated rows at once. The rows are converted to
+    float64, checked, padded and rotated one chunk at a time
+    (``encode_in_chunks``), so any float dtype is read without a whole
+    float64 copy."""
+    x = as_rows(data, "data")
+    _check_input_dim(model, x)
+    return encode_in_chunks(model, x, lambda chunk: as_matrix(chunk, "data"))
 
 
 def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:

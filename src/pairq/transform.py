@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, psd_factors
+from .linalg import as_matrix, as_rows, as_vector, psd_factors
 from .quantizer import (
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
     OPQModel,
-    opq_encode,
+    encode_in_chunks,
     pad_columns,
     train_opq,
 )
@@ -113,15 +113,19 @@ def learn_sqdist_transform(queries) -> PairTransform:
     return _learn_transform(queries, SQDIST)
 
 
-def transform_database(transform: PairTransform, data) -> np.ndarray:
-    """Map raw database vectors into the transform's space (lifting first
-    in sqdist mode)."""
-    x = as_matrix(data, "data")
+def _check_source_dim(transform: PairTransform, x: np.ndarray) -> None:
     if x.shape[1] != transform.source_dim:
         raise ValueError(
             f"data dimension {x.shape[1]} does not match transform "
             f"source dimension {transform.source_dim}"
         )
+
+
+def transform_database(transform: PairTransform, data) -> np.ndarray:
+    """Map raw database vectors into the transform's space (lifting first
+    in sqdist mode)."""
+    x = as_matrix(data, "data")
+    _check_source_dim(transform, x)
     if transform.mode == SQDIST:
         x = _lift_batch(x)
     return x @ transform.matrix.T
@@ -168,9 +172,16 @@ def train_pairq(
 
 
 def pairq_encode(model: PairQModel, database) -> np.ndarray:
-    """Codes for raw database vectors."""
-    z = transform_database(model.transform, database)
-    return opq_encode(model.opq, z)
+    """Codes for raw database vectors, as ``pq_encode`` gives them for all
+    the transformed and rotated rows at once. Each chunk of rows is
+    converted to float64, checked, lifted, transformed, padded and rotated
+    in turn (``quantizer.encode_in_chunks``), so the pass holds chunks,
+    not whole copies of the database."""
+    x = as_rows(database, "data")
+    _check_source_dim(model.transform, x)
+    return encode_in_chunks(
+        model.opq, x, lambda chunk: transform_database(model.transform, chunk)
+    )
 
 
 def pairq_query_vector(model: PairQModel, q) -> np.ndarray:

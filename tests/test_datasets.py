@@ -1,10 +1,14 @@
 """Tests for vector file IO and synthetic data generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from pairq import datasets
 from pairq.datasets import (
     SyntheticSpec,
+    _factor,
     gen_synthetic,
     read_fvecs,
     read_ivecs,
@@ -84,6 +88,82 @@ class TestFvecs:
             read_fvecs(path)
 
 
+def reference_records(data, dtype) -> bytes:
+    """The file bytes of one whole (N, dim + 1) record table."""
+    n, dim = data.shape
+    body = np.empty((n, dim + 1), dtype="<i4")
+    body[:, 0] = dim
+    body[:, 1:] = np.ascontiguousarray(data, dtype=dtype).view("<i4")
+    return body.tobytes()
+
+
+def write_raw(path, records):
+    """A file of (dimension field, values) records as given."""
+    with open(path, "wb") as fh:
+        for dim, values in records:
+            fh.write(np.asarray([dim], "<i4").tobytes())
+            fh.write(np.asarray(values, "<f4").tobytes())
+
+
+class TestChunkedIO:
+    """Reader and writer go through the file a chunk of ``CHUNK_ENTRIES``
+    values at a time; a small constant makes every file span chunks."""
+
+    # dim 3 records are 4 values, so chunks are 10 records.
+    ENTRIES = 40
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(datasets, "CHUNK_ENTRIES", self.ENTRIES)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 20, 29, 31])
+    def test_fvecs_bytes_equal_one_whole_table(self, tmp_path, n):
+        path = str(tmp_path / "v.fvecs")
+        data = np.random.default_rng(n).standard_normal((n, 3))
+        write_fvecs(path, data)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_records(data, "<f4")
+        back = read_fvecs(path)
+        if n:
+            np.testing.assert_array_equal(back, data.astype(np.float32))
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 20, 31])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_ivecs_bytes_equal_one_whole_table(self, tmp_path, n, dtype):
+        path = str(tmp_path / "c.ivecs")
+        codes = np.random.default_rng(n).integers(0, 256, size=(n, 3)).astype(dtype)
+        write_ivecs(path, codes)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_records(codes, "<i4")
+        np.testing.assert_array_equal(read_ivecs(path), codes)
+
+    def test_ivecs_range_is_checked_before_anything_is_written(self, tmp_path):
+        path = tmp_path / "c.ivecs"
+        codes = np.zeros((25, 3), dtype=np.int64)
+        codes[-1, -1] = 2 ** 40
+        with pytest.raises(ValueError, match="int32"):
+            write_ivecs(str(path), codes)
+        assert not path.exists()
+
+    def test_bad_dimension_in_a_later_chunk_names_the_file_record(self, tmp_path):
+        path = str(tmp_path / "v.fvecs")
+        records = [(3, [0, 0, 0])] * 25
+        records[23] = (7, [0, 0, 0])
+        write_raw(path, records)
+        with pytest.raises(ValueError, match="record 23 has dimension 7, expected 3"):
+            read_fvecs(path)
+
+    def test_truncated_file_longer_than_one_chunk(self, tmp_path):
+        path = str(tmp_path / "v.fvecs")
+        write_fvecs(path, np.ones((25, 3), dtype=np.float32))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(raw[:-4])
+        with pytest.raises(ValueError, match="truncated"):
+            read_fvecs(path)
+
+
 class TestIvecs:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "c.ivecs")
@@ -132,6 +212,28 @@ class TestGenSynthetic:
         data = gen_synthetic(spec, seed=1)
         cond = second_moment_condition(data.train_queries)
         assert 25.0 < cond < 100.0
+
+    @pytest.mark.parametrize("dim, n", [(64, 20000), (100, 12000), (7, 5001)])
+    def test_chunked_draws_equal_the_whole_array_formula(self, dim, n):
+        # 64 and 100 columns span two chunks and a tail; 7 is one chunk.
+        spec = SyntheticSpec(dim=dim, num_database=n, num_train_queries=300,
+                             num_eval_queries=2, database_decay=1.5,
+                             query_decay=4.0)
+        rng = np.random.default_rng(9)
+        db_factor = _factor(dim, spec.database_decay, rng)
+        q_factor = _factor(dim, spec.query_decay, rng)
+        expected = [
+            rng.standard_normal((n, dim)) @ db_factor.T,
+            rng.standard_normal((300, dim)) @ q_factor.T,
+            rng.standard_normal((2, dim)) @ q_factor.T,
+        ]
+        data = gen_synthetic(spec, seed=9)
+        got = [data.database, data.train_queries, data.eval_queries]
+
+        def digest(arr):
+            return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+        assert [digest(a) for a in got] == [digest(a) for a in expected]
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="dim"):

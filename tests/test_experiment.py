@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from pairq import cli, experiment, metrics
+from pairq import cli, experiment, metrics, quantizer
 from pairq.cli import build_parser, main
 from pairq.datasets import (
     SyntheticSpec,
@@ -28,7 +28,7 @@ from pairq.experiment import (
     write_report_json,
 )
 from pairq.metrics import DEFAULT_PAIR_BUDGET, evaluate_method, true_values
-from pairq.quantizer import kmeans, train_opq, train_pq
+from pairq.quantizer import kmeans, pq_encode, train_opq, train_pq
 from pairq.serialize import load_model, save_model
 from pairq.transform import train_pairq
 
@@ -356,6 +356,32 @@ class TestFitMethod:
         model, codes = fit_method(task, method, database, train_q, 2, 8,
                                   outer_iters=2, kmeans_iters=6, seed=1)
         expected = experiment.encode(model, database)
+        assert codes.dtype == expected.dtype == np.uint8
+        assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("method", ["opq", "pairq"])
+    @pytest.mark.parametrize("task", ["scalar", "cosine", "sqdist"])
+    def test_codes_are_those_encode_gives_across_chunks(self, monkeypatch, task,
+                                                        method):
+        # One 8192-row tile per chunk at K = 8: encode takes the 20000 rows
+        # in two chunks, the second with the tail, while training encodes
+        # them in one batch.
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        calls = []
+
+        def counted(codebook, rows):
+            calls.append(len(rows))
+            return pq_encode(codebook, rows)
+
+        monkeypatch.setattr(quantizer, "pq_encode", counted)
+        database, train_q, _ = tiny_data(dim=7, num_database=20000)
+        if task == "cosine":
+            database, train_q = normalize_rows(database), normalize_rows(train_q)
+        model, codes = fit_method(task, method, database, train_q, 2, 8,
+                                  outer_iters=2, kmeans_iters=6, seed=1)
+        calls.clear()
+        expected = experiment.encode(model, database)
+        assert calls == [8192, 11808]
         assert codes.dtype == expected.dtype == np.uint8
         assert np.array_equal(codes, expected)
 

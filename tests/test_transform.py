@@ -1,13 +1,24 @@
 """Tests for the query-aware transforms and their estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairq.linalg import ZERO_EIG_RTOL, psd_sqrt, pseudo_inverse
+from pairq import quantizer
+from pairq.linalg import CHUNK_ENTRIES, ZERO_EIG_RTOL, psd_sqrt, pseudo_inverse
 from pairq.metrics import estimate_batch
-from pairq.quantizer import opq_encode, pq_decode, reconstruction_error, train_opq
+from pairq.quantizer import (
+    TILE_ENTRIES,
+    apply_rotation,
+    opq_encode,
+    pq_decode,
+    pq_encode,
+    reconstruction_error,
+    train_opq,
+)
 from pairq.transform import (
     PairTransform,
     learn_scalar_transform,
@@ -443,3 +454,99 @@ class TestEstimates:
         errs = np.array([est[i] - query @ held_out[i] for i in range(3000)])
         stderr = errs.std(ddof=1) / np.sqrt(len(errs))
         assert abs(errs.mean()) <= 5.0 * max(stderr, 1e-12)
+
+
+class TestChunkedEncode:
+    """``opq_encode`` and ``pairq_encode`` walk the rows in chunks of whole
+    assignment tiles; their codes equal one ``pq_encode`` call on all the
+    transformed and rotated rows."""
+
+    @staticmethod
+    def models(mode, dim, num_blocks, k, n):
+        rng = np.random.default_rng(dim + k)
+        x = anisotropic(rng, n, np.linspace(3.0, 0.2, dim))
+        q = anisotropic(rng, 300, np.linspace(0.5, 2.0, dim))
+        if mode == "cosine":
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+        learn = learn_sqdist_transform if mode == "sqdist" else learn_scalar_transform
+        opts = dict(outer_iters=1, kmeans_iters=3, seed=0)
+        pairq = train_pairq(learn(q), x[:1500], num_blocks, k, **opts)
+        opq = train_opq(x[:1500], num_blocks, k, pad=True, **opts)
+        return x, pairq, opq
+
+    @staticmethod
+    def whole_batch(pairq, opq, x):
+        """Codes of one ``pq_encode`` call on all the rotated rows."""
+        z = transform_database(pairq.transform, x)
+        return (pq_encode(pairq.opq.codebook, apply_rotation(pairq.opq, z)),
+                pq_encode(opq.codebook, apply_rotation(opq, x)))
+
+    @staticmethod
+    def count_chunks(monkeypatch):
+        calls = []
+
+        def counted(codebook, rows):
+            calls.append(len(rows))
+            return pq_encode(codebook, rows)
+
+        monkeypatch.setattr(quantizer, "pq_encode", counted)
+        return calls
+
+    # One tile per chunk: chunks of TILE_ENTRIES // K rows, the last one
+    # with a tail shorter than a tile. Scalar at 10 columns pads to 12,
+    # cosine at 9 pads to 10, sqdist at 13 lifts to 14 and pads to 16;
+    # K = 100 has a tile of 655 rows.
+    @pytest.mark.parametrize("mode, dim, num_blocks, k", [
+        ("scalar", 10, 4, 16),
+        ("cosine", 9, 2, 16),
+        ("sqdist", 13, 4, 16),
+        ("scalar", 10, 4, 100),
+        ("sqdist", 13, 4, 100),
+    ])
+    def test_one_tile_chunks_give_whole_batch_codes(self, monkeypatch, mode, dim,
+                                                    num_blocks, k):
+        tile = TILE_ENTRIES // k
+        x, pairq, opq = self.models(mode, dim, num_blocks, k, 3 * tile + tile // 3)
+        expected = self.whole_batch(pairq, opq, x)
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        calls = self.count_chunks(monkeypatch)
+        got = pairq_encode(pairq, x), opq_encode(opq, x)
+        assert calls == [tile, tile, tile + tile // 3] * 2
+        for codes, ref in zip(got, expected):
+            assert codes.dtype == np.uint8
+            np.testing.assert_array_equal(codes, ref)
+
+    def test_chunks_of_the_module_constant_give_whole_batch_codes(self, monkeypatch):
+        # K = 16 tiles are 4096 rows; at 16 columns a chunk is eight tiles.
+        x, pairq, opq = self.models("sqdist", 13, 4, 16, 2 * 32768 + 1000)
+        expected = self.whole_batch(pairq, opq, x)
+        calls = self.count_chunks(monkeypatch)
+        got = pairq_encode(pairq, x), opq_encode(opq, x)
+        assert calls == [32768, 32768 + 1000] * 2
+        for codes, ref in zip(got, expected):
+            np.testing.assert_array_equal(codes, ref)
+        # float32 rows convert exactly, one chunk at a time.
+        x32 = x.astype(np.float32)
+        expected32 = self.whole_batch(pairq, opq, x32.astype(np.float64))
+        np.testing.assert_array_equal(pairq_encode(pairq, x32), expected32[0])
+        np.testing.assert_array_equal(opq_encode(opq, x32), expected32[1])
+
+    def test_peak_memory_is_set_by_the_chunk_not_the_database(self):
+        # Seven chunks of 32768 rows of 13 columns in sqdist mode: the
+        # lifted, transformed, padded and rotated rows are up to 16 columns,
+        # 29 MB each for the whole database, against chunks of
+        # CHUNK_ENTRIES values (4 MB).
+        x, pairq, opq = self.models("sqdist", 13, 4, 16, 7 * 32768)
+        x = x.astype(np.float32)
+        chunk_bytes = 8 * CHUNK_ENTRIES
+        whole_bytes = 8 * 16 * len(x)
+        assert whole_bytes > 6 * chunk_bytes
+        for encode, model in ((pairq_encode, pairq), (opq_encode, opq)):
+            tracemalloc.start()
+            try:
+                codes = encode(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < codes.nbytes + 4 * chunk_bytes, peak
