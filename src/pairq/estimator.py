@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_rows, as_vector
 from .quantizer import (
     OPQModel, PQCodebook, apply_rotation, check_codes, pad_columns, pq_decode,
-    pq_encode,
+    pq_encode, row_chunks,
 )
 
 
@@ -113,18 +113,30 @@ def compute_mse_table(model: OPQModel, training_data, codes=None) -> MseTable:
 
     Codewords that receive no training points get 0. ``codes``, when given,
     must be ``opq_encode(model, training_data)``, one row per training
-    vector; the data is then not encoded again.
+    vector; the data is then not encoded again. The rows are converted,
+    checked, padded and rotated one chunk at a time (``row_chunks``, as
+    ``opq_encode`` does), and each chunk's per-block errors go into one
+    (N, M) array, so the pass holds that array and one chunk, not rotated
+    or decoded copies of the data.
     """
-    x = as_matrix(training_data, "training_data")
-    x_rot = apply_rotation(model, x)
+    x = as_rows(training_data, "training_data")
     book = model.codebook
     m, k, sub = book.centroids.shape
-    if codes is None:
-        codes = pq_encode(book, x_rot)
+    encode = codes is None
+    if encode:
+        codes = np.empty((x.shape[0], m), dtype=np.uint8)
     elif len(codes) != x.shape[0]:
         raise ValueError(f"{len(codes)} code rows for {x.shape[0]} training vectors")
-    diff = (x_rot - pq_decode(book, codes)).reshape(x.shape[0], m, sub)
-    err = np.einsum("nms,nms->nm", diff, diff)
+    err = np.empty((x.shape[0], m))
+    for chunk in row_chunks(x.shape[0], max(x.shape[1], model.dim), k):
+        x_rot = apply_rotation(model, x[chunk])
+        if encode:
+            codes[chunk] = pq_encode(book, x_rot)
+        x_rot -= pq_decode(book, codes[chunk])
+        diff = x_rot.reshape(-1, m, sub)
+        np.einsum("nms,nms->nm", diff, diff, out=err[chunk])
+        # Free this chunk's rows before the next chunk's are made.
+        del x_rot, diff
     # One bincount for all blocks: codeword c of block j is bin j*K + c.
     cells = (codes + k * np.arange(m)).ravel()
     sums = np.bincount(cells, weights=err.ravel(), minlength=m * k).reshape(m, k)

@@ -4,7 +4,7 @@ Everything here works on float64 arrays and never mutates its inputs. The
 public operations are one eigendecomposition of a PSD matrix giving its
 clamped spectrum, root and root pseudoinverse (``psd_factors``; ``psd_sqrt``
 is the root alone), an SVD pseudoinverse with an explicit singular-value
-cutoff, and the orthogonal Procrustes solve.
+cutoff, and the orthogonal Procrustes solve from a cross product.
 """
 
 from __future__ import annotations
@@ -141,18 +141,23 @@ def pseudo_inverse(c) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def procrustes(x, y) -> np.ndarray:
-    """Orthogonal matrix R minimizing ||R @ x - y||_F.
+def procrustes(cross) -> np.ndarray:
+    """Orthogonal matrix R minimizing ||R @ x - y||_F, from the d-by-d cross
+    product ``cross = y @ x.T`` of d-by-N matrices x and y of paired
+    columns.
 
-    ``x`` and ``y`` are d-by-N matrices of paired columns. The minimizer is
-    R = U @ V.T where U, V come from the SVD of y @ x.T.
+    The minimizer is R = U @ V.T where U, V come from the SVD of ``cross``.
+    Taking the cross product instead of x and y lets a caller sum it over
+    chunks of columns without holding either matrix whole.
 
     Raises:
-        ValueError: if the shapes differ or the inputs are not 2-d.
+        ValueError: if ``cross`` is not a square 2-d matrix or is not
+            finite.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    u, _, vt = np.linalg.svd(y @ x.T)
+    cross = as_matrix(cross, "cross")
+    if cross.shape[0] != cross.shape[1]:
+        raise ValueError(
+            f"shape mismatch: the cross product must be square, got {cross.shape}"
+        )
+    u, _, vt = np.linalg.svd(cross)
     return u @ vt

@@ -150,11 +150,14 @@ def _assign_batch(rows1, centroids):
     return labels, best
 
 
-def _centroid_means(x, labels, k):
+def _centroid_means(cols, labels, k):
+    """Per-cluster means of the points whose coordinates are the rows of
+    ``cols``, (s, N) and contiguous, so no ``bincount`` copies a strided
+    column first; the sums are those of the block's columns, bit for bit."""
     counts = np.bincount(labels, minlength=k)
-    sums = np.empty((k, x.shape[1]))
-    for j in range(x.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=k)
+    sums = np.empty((k, cols.shape[0]))
+    for j, col in enumerate(cols):
+        sums[:, j] = np.bincount(labels, weights=col, minlength=k)
     nonempty = counts > 0
     sums[nonempty] /= counts[nonempty, None]
     return sums, counts
@@ -194,10 +197,11 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
     returned centroids are always the per-cluster means of the returned
     assignments; empty clusters keep their previous position.
     """
-    # The extended rows are the fit's one copy of the block and x is a view
-    # of them, so the fit holds no second (N, s) array.
+    # The extended rows feed the assignment and x is a view of them; the
+    # centroid update reads one contiguous transposed copy of the block.
     rows1 = _append_ones(x)
     x = rows1[:, :-1]
+    cols = np.ascontiguousarray(x.T)
     x_sq = np.einsum("ij,ij->i", x, x)
     k = centroids.shape[0]
     centroids = centroids.copy()
@@ -212,9 +216,9 @@ def _lloyd(x, centroids, max_iters, context="k-means"):
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged = True
             break
-        means, counts = _centroid_means(x, labels, k)
+        means, counts = _centroid_means(cols, labels, k)
         if _repair_empty(labels, min_d2, counts, k):
-            means, counts = _centroid_means(x, labels, k)
+            means, counts = _centroid_means(cols, labels, k)
         centroids[counts > 0] = means[counts > 0]
         prev_labels = labels
     return KMeansResult(
@@ -540,15 +544,111 @@ def _check_input_dim(model: OPQModel, x: np.ndarray) -> None:
         )
 
 
-def _rotate(model: OPQModel, x: np.ndarray) -> np.ndarray:
-    return pad_columns(x, model.dim) @ model.rotation.T
+def _rotate(rotation: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """x zero-padded to the rotation's dimension and rotated, into ``out``
+    when it is given."""
+    return np.matmul(pad_columns(x, rotation.shape[0]), rotation.T, out=out)
 
 
 def apply_rotation(model: OPQModel, data) -> np.ndarray:
     """Zero-pad to the model dimension and rotate."""
     x = as_matrix(data, "data")
     _check_input_dim(model, x)
-    return _rotate(model, x)
+    return _rotate(model.rotation, x)
+
+
+def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
+    """The row chunks of a pass over n rows, up to ``width`` columns wide,
+    that are encoded with ``codebook_size`` centroids per block.
+
+    A chunk is a whole number of assignment tiles, about ``CHUNK_ENTRIES``
+    values at ``width`` columns, and a tail shorter than one chunk joins
+    the chunk before it. Every tile of ``pq_encode`` therefore falls where
+    one call on all the rows puts it. So do the rows of the products
+    before it, which BLAS rounds alike in a chunk and in the whole batch up
+    to 193 output columns; at wider products (seen from 194 columns with
+    OpenBLAS 0.3.31) it rounds the last rows of a product, or of a
+    thread's share, differently, and a near-tie code can move (README).
+    Training and encoding use the same chunks, so their codes agree at any
+    width.
+    """
+    tile = max(1, TILE_ENTRIES // codebook_size)
+    step = tile * max(1, CHUNK_ENTRIES // (max(1, width) * tile))
+    ends = chunk_ends(n, step)
+    return [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _fit_opq(
+    rows: np.ndarray,
+    prepare,
+    input_dim: int,
+    num_blocks: int,
+    codebook_size: int,
+    outer_iters: int,
+    kmeans_iters: int,
+    seed: int,
+    pad: bool,
+) -> OPQModel:
+    """The alternating fit of ``train_opq`` and ``train_pairq``.
+
+    ``prepare`` maps a chunk of ``rows`` to float64 rows of ``input_dim``
+    columns, checked by ``as_matrix``. The fit's one whole (N, d) array is
+    ``x_rot``, the rotated rows. Each outer pass fills it chunk by chunk
+    (``row_chunks``, the chunks of ``encode_in_chunks``): prepare, pad,
+    rotate. So the first fill checks every row before any k-means work, and
+    the codes of ``pq_encode(codebook, x_rot)`` are the encode's. After the
+    encode each chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross
+    product and then turns into its residual in place. With x_rot = x·Rᵀ,
+    the Procrustes input x̂ᵀ·x is ``cross @ R``.
+    """
+    check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
+    if input_dim % num_blocks != 0 and not pad:
+        raise ValueError(
+            f"dimension {input_dim} not divisible by {num_blocks} blocks; "
+            "pass pad=True to zero-pad"
+        )
+    dim = padded_dim(input_dim, num_blocks)
+    chunks = row_chunks(rows.shape[0], max(rows.shape[1], dim), codebook_size)
+    x_rot = np.empty((rows.shape[0], dim))
+    rotation = np.eye(dim)
+
+    codebook: PQCodebook | None = None
+    trace: list[float] = []
+    for t in range(outer_iters + 1):
+        for chunk in chunks:
+            _rotate(rotation, prepare(rows[chunk]), out=x_rot[chunk])
+        if codebook is None:
+            codebook = train_pq(
+                x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
+            )
+        else:
+            previous = codebook.centroids
+            codebook = _fit_blocks(x_rot, num_blocks, lambda j, block: _lloyd(
+                block, previous[j], kmeans_iters, context="codebook refit"))
+        codes = pq_encode(codebook, x_rot)
+        solve = t < outer_iters
+        cross = np.zeros((dim, dim))
+        residual = 0.0
+        for chunk in chunks:
+            x_c = x_rot[chunk]
+            x_hat = pq_decode(codebook, codes[chunk])
+            if solve:
+                cross += x_hat.T @ x_c
+            np.subtract(x_c, x_hat, out=x_c)
+            residual += np.einsum("ij,ij->", x_c, x_c)
+            # Free this chunk's reconstruction before the next is made.
+            del x_hat
+        trace.append(float(residual))
+        _check_monotone(trace[-2:], "rotation/codebook alternation")
+        if solve:
+            rotation = procrustes(cross @ rotation)
+    return OPQModel(
+        rotation=rotation,
+        codebook=codebook,
+        input_dim=input_dim,
+        trace=trace,
+        codes=codes,
+    )
 
 
 def train_opq(
@@ -569,48 +669,16 @@ def train_opq(
     ``outer_iters=0`` the result is a plain product quantizer. With ``pad``
     a dimension that ``num_blocks`` does not divide is zero-padded up to
     the next multiple. The last pass encodes the rotated rows under the
-    final rotation and codebook; the model keeps those codes.
+    final rotation and codebook; the model keeps those codes, the bits
+    ``opq_encode`` gives. The rows are converted to float64, checked,
+    padded and rotated one chunk at a time into one reused array of
+    rotated rows, the only whole (N, d) array the fit holds
+    (``_fit_opq``); the reconstruction and the residual go chunk by chunk.
     """
-    x = as_matrix(data, "data")
-    check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
-    if x.shape[1] % num_blocks != 0 and not pad:
-        raise ValueError(
-            f"dimension {x.shape[1]} not divisible by {num_blocks} blocks; "
-            "pass pad=True to zero-pad"
-        )
-    input_dim = x.shape[1]
-    x = pad_columns(x, padded_dim(input_dim, num_blocks))
-    rotation = np.eye(x.shape[1])
-
-    codebook: PQCodebook | None = None
-    trace: list[float] = []
-    for t in range(outer_iters + 1):
-        x_rot = x @ rotation.T
-        if codebook is None:
-            codebook = train_pq(
-                x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
-            )
-        else:
-            previous = codebook.centroids
-            codebook = _fit_blocks(x_rot, num_blocks, lambda j, block: _lloyd(
-                block, previous[j], kmeans_iters, context="codebook refit"))
-        codes = pq_encode(codebook, x_rot)
-        x_hat = pq_decode(codebook, codes)
-        # x_rot takes the residual in place and x_hat goes once the rotation
-        # is solved, so a pass holds no (N, d) array of the one before it
-        # beyond the x_rot that its product replaces.
-        np.subtract(x_rot, x_hat, out=x_rot)
-        trace.append(float(np.einsum("ij,ij->", x_rot, x_rot)))
-        _check_monotone(trace[-2:], "rotation/codebook alternation")
-        if t < outer_iters:
-            rotation = procrustes(x.T, x_hat.T)
-            del x_hat
-    return OPQModel(
-        rotation=rotation,
-        codebook=codebook,
-        input_dim=input_dim,
-        trace=trace,
-        codes=codes,
+    x = as_rows(data, "data")
+    return _fit_opq(
+        x, lambda chunk: as_matrix(chunk, "data"), x.shape[1], num_blocks,
+        codebook_size, outer_iters, kmeans_iters, seed, pad,
     )
 
 
@@ -619,27 +687,16 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, prepare) -> np.ndarray:
 
     ``prepare`` maps a chunk of ``rows`` to float64 rows of the model's
     input space, checked by ``as_matrix``; each chunk is then padded,
-    rotated and encoded by ``pq_encode``. A chunk is a whole number of
-    assignment tiles, about ``CHUNK_ENTRIES`` values per array at the
-    widest of the rows and the model, and a tail shorter than one chunk
-    joins the chunk before it. Every tile of ``pq_encode`` therefore falls
-    where one call on all the rows puts it. So do the rows of the products
-    before it, which BLAS rounds alike in a chunk and in the whole batch up
-    to 193 output columns; at wider products (seen from 194 columns with
-    OpenBLAS 0.3.31) it rounds the last rows of a product, or of a
-    thread's share, differently, and a near-tie code can move (README).
+    rotated and encoded by ``pq_encode``. The chunks are ``row_chunks`` at
+    the widest of the rows and the model, so the codes are those of one
+    ``pq_encode`` call on all the rotated rows (up to 193 columns, see
+    ``row_chunks``) and those training keeps.
     """
-    codes = np.empty((rows.shape[0], model.codebook.num_blocks), dtype=np.uint8)
-    tile = max(1, TILE_ENTRIES // model.codebook.codebook_size)
+    book = model.codebook
+    codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8)
     width = max(rows.shape[1], model.dim)
-    step = tile * max(1, CHUNK_ENTRIES // (width * tile))
-    start = 0
-    for end in chunk_ends(rows.shape[0], step):
-        x = _rotate(model, prepare(rows[start:end]))
-        codes[start:end] = pq_encode(model.codebook, x)
-        # Free this chunk's rows before the next chunk's are made.
-        del x
-        start = end
+    for chunk in row_chunks(rows.shape[0], width, book.codebook_size):
+        codes[chunk] = pq_encode(book, _rotate(model.rotation, prepare(rows[chunk])))
     return codes
 
 

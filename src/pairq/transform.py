@@ -29,9 +29,9 @@ from .quantizer import (
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
     OPQModel,
+    _fit_opq,
     encode_in_chunks,
     pad_columns,
-    train_opq,
 )
 
 SCALAR = "scalar"
@@ -157,16 +157,17 @@ def train_pairq(
     The transformed vectors are zero-padded when the transform dimension
     is not divisible by ``num_blocks``. ``model.opq.codes`` holds the
     database's codes from training, the same bits as ``pairq_encode``.
+    The transformed database is never held whole: each outer pass of the
+    fit (``quantizer._fit_opq``) converts, checks, lifts, transforms, pads
+    and rotates one chunk of rows at a time into the one reused array of
+    rotated rows, as ``pairq_encode`` does, at the cost of one transform
+    of the database per pass.
     """
-    z = transform_database(transform, database)
-    opq = train_opq(
-        z,
-        num_blocks,
-        codebook_size,
-        outer_iters=outer_iters,
-        kmeans_iters=kmeans_iters,
-        seed=seed,
-        pad=True,
+    x = as_rows(database, "data")
+    _check_source_dim(transform, x)
+    opq = _fit_opq(
+        x, lambda chunk: transform_database(transform, chunk), transform.dim,
+        num_blocks, codebook_size, outer_iters, kmeans_iters, seed, pad=True,
     )
     return PairQModel(transform=transform, opq=opq)
 

@@ -1,8 +1,11 @@
 """Tests for lookup-table scans, error-mean tables, and bias correction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pairq import quantizer
 from pairq.estimator import (
     BiasCorrected,
     MseTable,
@@ -322,6 +325,46 @@ class TestMseTable:
         )
         with pytest.raises(ValueError, match="code rows"):
             compute_mse_table(model, x, codes[1:])
+
+    @staticmethod
+    def random_model(rng, dim, blocks, k):
+        rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        book = PQCodebook(centroids=rng.standard_normal((blocks, k, dim // blocks)))
+        return OPQModel(rotation=rotation, codebook=book, input_dim=dim)
+
+    def test_chunks_give_the_whole_batch_table(self, monkeypatch):
+        # K = 16 tiles are 4096 rows: one chunk at the module constant,
+        # 4096, 4096 and 5808 rows with CHUNK_ENTRIES patched to 1.
+        rng = np.random.default_rng(13)
+        model = self.random_model(rng, 12, 4, 16)
+        x = rng.standard_normal((3 * 4096 + 1712, 12))
+        codes = opq_encode(model, x)
+        whole = compute_mse_table(model, x).values
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        np.testing.assert_array_equal(compute_mse_table(model, x).values, whole)
+        np.testing.assert_array_equal(
+            compute_mse_table(model, x, codes).values, whole
+        )
+
+    def test_peak_memory_is_the_error_array_and_a_few_chunks(self, monkeypatch):
+        # Five chunks of one 4096-row tile (K = 16) of 64 columns: the
+        # rotated rows would be 10.5 MB whole, a chunk of them 2.1 MB.
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        rng = np.random.default_rng(14)
+        model = self.random_model(rng, 64, 4, 16)
+        x = rng.standard_normal((5 * 4096, 64))
+        codes = opq_encode(model, x)
+        chunk = 8 * 4096 * 64
+        # The (N, M) float64 errors and the int64 bins of the one bincount.
+        per_code = 2 * 8 * codes.size
+        for given in (None, codes):
+            tracemalloc.start()
+            try:
+                compute_mse_table(model, x, given)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < per_code + 4 * chunk, peak
 
     def test_empty_cells_are_zero(self):
         rng = np.random.default_rng(11)

@@ -550,9 +550,9 @@ class TestTrainOPQ:
                                           book.centroids[j])
 
     def test_keeps_at_most_two_data_sized_arrays_alive(self):
-        # Beyond the input: the rotated data and its reconstruction, or the
-        # previous and the next rotated data while the product runs. The
-        # residual reuses the rotated data's buffer.
+        # Beyond the input: the rotated rows and one chunk's reconstruction,
+        # here all 20000 rows (one chunk). The residual reuses the rotated
+        # rows' buffer.
         x = np.random.default_rng(18).standard_normal((20000, 32))
         tracemalloc.start()
         try:

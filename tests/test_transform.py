@@ -550,3 +550,118 @@ class TestChunkedEncode:
             finally:
                 tracemalloc.stop()
             assert peak < codes.nbytes + 4 * chunk_bytes, peak
+
+
+class TestChunkedTraining:
+    """``train_opq`` and ``train_pairq`` hold one (N, d) array of rotated
+    rows and walk the rows in the chunks of ``opq_encode``/``pairq_encode``
+    for everything else: preparing, rotating, decoding and the residual."""
+
+    # With CHUNK_ENTRIES patched to 1, K = 16 chunks are one 4096-row tile:
+    # five chunks of 64 columns (sqdist lifts 63 columns to 64).
+    ROWS, TILE, WIDTH = 5 * 4096, 4096, 64
+
+    @staticmethod
+    def data(dim, n):
+        rng = np.random.default_rng(dim + n)
+        x = anisotropic(rng, n, np.linspace(3.0, 0.2, dim))
+        q = anisotropic(rng, 300, np.linspace(0.5, 2.0, dim))
+        return x, q
+
+    @staticmethod
+    def trainer(method, x, q, num_blocks, k, **opts):
+        """A call that trains ``method`` ("opq" or a pairq task) on x and
+        returns (model, the encode of x under it)."""
+        if method == "opq":
+            def train():
+                model = train_opq(x, num_blocks, k, pad=True, **opts)
+                return model, model.codes
+            return train, lambda model: opq_encode(model, x)
+        learn = learn_sqdist_transform if method == "sqdist" else learn_scalar_transform
+        transform = learn(q)
+
+        def train():
+            model = train_pairq(transform, x, num_blocks, k, **opts)
+            return model, model.opq.codes
+        return train, lambda model: pairq_encode(model, x)
+
+    @pytest.mark.parametrize("method", ["opq", "scalar", "sqdist"])
+    def test_peak_memory_is_the_rotated_rows_and_a_few_chunks(self, monkeypatch,
+                                                              method):
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        x, q = self.data(self.WIDTH - (method == "sqdist"), self.ROWS)
+        train, _ = self.trainer(method, x, q, 16, 16, outer_iters=1,
+                                kmeans_iters=2, seed=0)
+        rotated = 8 * self.ROWS * self.WIDTH
+        chunk = 8 * self.TILE * self.WIDTH
+        tracemalloc.start()
+        try:
+            train()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One copy of the rows, a chunk's reconstruction and one block's
+        # Lloyd arrays (4 of 64 columns); a second whole copy would not fit.
+        assert peak < rotated + 4 * chunk, peak
+
+    def test_training_transforms_one_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        x, q = self.data(self.WIDTH - 1, self.ROWS)
+        transform = learn_sqdist_transform(q)
+        sizes = []
+
+        def recorded(t, rows):
+            sizes.append(len(rows))
+            return transform_database(t, rows)
+
+        monkeypatch.setattr("pairq.transform.transform_database", recorded)
+        train_pairq(transform, x, 16, 16, outer_iters=2, kmeans_iters=2, seed=0)
+        # Five chunks per pass, in each of the three passes.
+        assert sizes == [self.TILE] * 15
+
+    @pytest.mark.parametrize("method", ["opq", "scalar", "sqdist"])
+    def test_non_finite_row_fails_before_any_kmeans(self, monkeypatch, method):
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        x, q = self.data(15, 3 * 4096)
+        x[-1, 3] = np.nan
+        train, _ = self.trainer(method, x, q, 4, 16, outer_iters=1,
+                                kmeans_iters=2, seed=0)
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran before the rows were checked")
+
+        monkeypatch.setattr(quantizer, "kmeans", no_kmeans)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            train()
+
+    # From 194 output columns OpenBLAS rounds a row of a product by its
+    # position in it, so training must rotate in the encode's chunks. K = 64
+    # chunks are one 1024-row tile here: 1024, 1024 and 1524 rows (the tail
+    # joins the last chunk). sqdist lifts 199 columns to 200 and opq pads
+    # 203 to 204.
+    @pytest.mark.parametrize("method, dim", [
+        ("opq", 200), ("scalar", 200), ("sqdist", 199), ("opq", 203),
+        ("scalar", 300),
+    ])
+    def test_training_codes_are_the_encodes_at_wide_rows(self, monkeypatch,
+                                                        method, dim):
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        x, q = self.data(dim, 3 * 1024 + 500)
+        train, encode = self.trainer(method, x, q, 4, 64, outer_iters=1,
+                                     kmeans_iters=3, seed=0)
+        seen = []
+
+        def recorded(codebook, rows):
+            seen.append(np.array(rows))
+            return pq_encode(codebook, rows)
+
+        monkeypatch.setattr(quantizer, "pq_encode", recorded)
+        model, codes = train()
+        trained_rows = seen[-1]
+        seen.clear()
+        encoded = encode(model)
+        # The rotated rows themselves, not only the codes, match bit for bit:
+        # a near-tie code can move only where they differ.
+        np.testing.assert_array_equal(np.vstack(seen), trained_rows)
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(codes, encoded)
