@@ -190,12 +190,13 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     # An empty train-queries file fails only the pairq cells; one with a
-    # NaN or infinite entry fails the whole grid before any training.
+    # NaN or infinite entry fails the whole grid before any training. As
+    # float64 rows, the files are not copied again by the grid's checks.
     report = run_experiment(
         config,
-        read_rows(args.database, "database"),
-        read_fvecs(args.train_queries),
-        read_rows(args.eval_queries, "eval queries"),
+        np.asarray(read_rows(args.database, "database"), dtype=np.float64),
+        np.asarray(read_fvecs(args.train_queries), dtype=np.float64),
+        np.asarray(read_rows(args.eval_queries, "eval queries"), dtype=np.float64),
     )
     failed = False
     for cell in report.cells:

@@ -7,6 +7,9 @@ is the root alone), an SVD pseudoinverse with an explicit singular-value
 cutoff, and the orthogonal Procrustes solve from a cross product. The
 row passes of the other modules share one chunk size, ``CHUNK_ENTRIES``
 values, and one rule that splits rows into chunks, ``chunks``.
+A model has up to three widths, the raw n, the lifted n + 1 (sqdist) and
+the quantizer's d = M·s (``quantizer`` says where zero padding goes), and
+every rule that rows or a vector have a model's width is ``check_width``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ def as_rows(a, name: str = "matrix") -> np.ndarray:
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
     return out
+
+
+def check_width(a: np.ndarray, width: int, name: str, owner: str) -> None:
+    """Raise ValueError unless the last axis of ``a`` (the columns of rows,
+    or a vector's entries) has ``owner``'s ``width``."""
+    if a.shape[-1] != width:
+        raise ValueError(
+            f"{name} dimension {a.shape[-1]} does not match {owner} "
+            f"dimension {width}"
+        )
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

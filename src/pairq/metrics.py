@@ -54,7 +54,7 @@ from .estimator import (
     build_lut_sqdist,
     check_mse_table,
 )
-from .linalg import CHUNK_ENTRIES, as_matrix
+from .linalg import CHUNK_ENTRIES, as_matrix, as_rows, check_width
 from .quantizer import TILE_ENTRIES, OPQModel, check_codes
 from .transform import SCALAR, SQDIST, PairQModel, pairq_query_vector
 
@@ -131,9 +131,7 @@ def true_values(query, database, kind: str) -> np.ndarray:
     checked in full only when some value is; finite inputs that overflow
     return ``inf``.
     """
-    x = np.asarray(database, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"database must be 2-dimensional, got shape {x.shape}")
+    x = as_rows(np.asarray(database, dtype=np.float64), "database")
     q = np.asarray(query, dtype=np.float64)
     if kind not in (SCALAR, SQDIST):
         raise ValueError(f"unknown kind {kind!r}")
@@ -218,11 +216,7 @@ def check_eval_inputs(eval_queries, database) -> tuple[np.ndarray, np.ndarray]:
     x = as_matrix(database, "database")
     if queries.shape[0] == 0 or x.shape[0] == 0:
         raise ValueError("need at least one query and one database vector")
-    if queries.shape[1] != x.shape[1]:
-        raise ValueError(
-            f"eval queries have dimension {queries.shape[1]}, the database "
-            f"has dimension {x.shape[1]}"
-        )
+    check_width(queries, x.shape[1], "eval queries", "database")
     return queries, x
 
 

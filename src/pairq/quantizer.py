@@ -41,6 +41,15 @@ D² in product form and the chunked sums round differently from the
 exact copy of a row, so a pick can move only when the uniform lands within
 about N·ε of a step of the CDF, about 1e-12 per draw at N = 20k.
 
+Widths: an OPQ model reads rows of its ``input_dim`` n and quantizes at
+d = M·s, n zero-padded to a multiple of the M blocks (``padded_dim``).
+Rows are never copied out to d columns: the rotation R multiplies them by
+its first n columns, ``x @ R[:, :n].T``, and ``opq_decode`` maps back
+through them; below 194 columns these are the padded products' bits
+(``row_chunks``). Query vectors are padded before their rotation, since
+R[:, :n] would round them otherwise and a table would depend on whether
+the query came with n or d entries.
+
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
 promise the implementation avoids order-dependent accumulation (centroid
@@ -54,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CHUNK_ENTRIES, as_matrix, as_rows, chunks, procrustes
+from .linalg import CHUNK_ENTRIES, as_matrix, as_rows, check_width, chunks, procrustes
 
 # Largest codebook size representable in one byte per sub-index.
 MAX_CODEBOOK = 256
@@ -386,17 +395,6 @@ def padded_dim(dim: int, num_blocks: int) -> int:
     return ((dim + num_blocks - 1) // num_blocks) * num_blocks
 
 
-def pad_columns(data: np.ndarray, dim: int) -> np.ndarray:
-    """Append zero columns so data has ``dim`` columns."""
-    if data.shape[1] == dim:
-        return data
-    if data.shape[1] > dim:
-        raise ValueError(f"cannot pad {data.shape[1]} columns down to {dim}")
-    out = np.zeros((data.shape[0], dim))
-    out[:, : data.shape[1]] = data
-    return out
-
-
 def _fit_blocks(x, num_blocks, fit) -> PQCodebook:
     """Codebook of ``fit(j, block_j)`` (a KMeansResult) over the
     ``num_blocks`` equal column blocks of x, converged when every block is."""
@@ -452,11 +450,7 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
         arr = arr[None, :]
     arr = as_matrix(arr, "x")
     check_training(codebook.num_blocks, codebook.codebook_size)
-    if arr.shape[1] != codebook.dim:
-        raise ValueError(
-            f"input dimension {arr.shape[1]} does not match codebook "
-            f"dimension {codebook.dim}"
-        )
+    check_width(arr, codebook.dim, "input", "codebook")
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
     sub = codebook.centroids.shape[2]
     for j, block_centroids in enumerate(codebook.centroids):
@@ -533,24 +527,17 @@ class OPQModel:
         return self.codebook.converged
 
 
-def _check_input_dim(model: OPQModel, x: np.ndarray) -> None:
-    if x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input dimension {x.shape[1]} does not match model "
-            f"dimension {model.input_dim}"
-        )
-
-
 def _rotate(rotation: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """x zero-padded to the rotation's dimension and rotated, into ``out``
+    """x, as if zero-padded to the rotation's dimension, rotated: the
+    product with the rotation's first ``x.shape[1]`` columns, into ``out``
     when it is given."""
-    return np.matmul(pad_columns(x, rotation.shape[0]), rotation.T, out=out)
+    return np.matmul(x, rotation[:, : x.shape[1]].T, out=out)
 
 
 def apply_rotation(model: OPQModel, data) -> np.ndarray:
-    """Zero-pad to the model dimension and rotate."""
+    """Rows of the model's input width, rotated into its padded space."""
     x = as_matrix(data, "data")
-    _check_input_dim(model, x)
+    check_width(x, model.input_dim, "input", "model")
     return _rotate(model.rotation, x)
 
 
@@ -589,12 +576,13 @@ def _fit_opq(
     ``prepare`` maps a chunk of ``rows`` to float64 rows of ``input_dim``
     columns, checked by ``as_matrix``. The fit's one whole (N, d) array is
     ``x_rot``, the rotated rows. Each outer pass fills it chunk by chunk
-    (``row_chunks``, the chunks of ``encode_in_chunks``): prepare, pad,
-    rotate. So the first fill checks every row before any k-means work, and
-    the codes of ``pq_encode(codebook, x_rot)`` are the encode's. After the
-    encode each chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross
-    product and then turns into its residual in place. With x_rot = x·Rᵀ,
-    the Procrustes input x̂ᵀ·x is ``cross @ R``.
+    (``row_chunks``, the chunks of ``encode_in_chunks``): prepare, then
+    rotate into the padded space (``_rotate``). So the first fill checks
+    every row before any k-means work, and the codes of
+    ``pq_encode(codebook, x_rot)`` are the encode's. After the encode each
+    chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross product and then
+    turns into its residual in place. With x_rot = x·Rᵀ, the Procrustes
+    input x̂ᵀ·x is ``cross @ R``.
     """
     check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
     if input_dim % num_blocks != 0 and not pad:
@@ -665,10 +653,10 @@ def train_opq(
     a dimension that ``num_blocks`` does not divide is zero-padded up to
     the next multiple. The last pass encodes the rotated rows under the
     final rotation and codebook; the model keeps those codes, the bits
-    ``opq_encode`` gives. The rows are converted to float64, checked,
-    padded and rotated one chunk at a time into one reused array of
-    rotated rows, the only whole (N, d) array the fit holds
-    (``_fit_opq``); the reconstruction and the residual go chunk by chunk.
+    ``opq_encode`` gives. The rows are converted to float64, checked and
+    rotated one chunk at a time into one reused array of rotated rows, the
+    only whole (N, d) array the fit holds (``_fit_opq``); the
+    reconstruction and the residual go chunk by chunk.
     """
     x = as_rows(data, "data")
     return _fit_opq(
@@ -681,11 +669,11 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, prepare) -> np.ndarray:
     """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time.
 
     ``prepare`` maps a chunk of ``rows`` to float64 rows of the model's
-    input space, checked by ``as_matrix``; each chunk is then padded,
-    rotated and encoded by ``pq_encode``. The chunks are ``row_chunks`` at
-    the widest of the rows and the model, so the codes are those of one
-    ``pq_encode`` call on all the rotated rows (up to 193 columns, see
-    ``row_chunks``) and those training keeps.
+    input space, checked by ``as_matrix``; each chunk is then rotated into
+    the padded space and encoded by ``pq_encode``. The chunks are
+    ``row_chunks`` at the widest of the rows and the model, so the codes
+    are those of one ``pq_encode`` call on all the rotated rows (up to 193
+    columns, see ``row_chunks``) and those training keeps.
     """
     book = model.codebook
     codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8)
@@ -698,11 +686,11 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, prepare) -> np.ndarray:
 def opq_encode(model: OPQModel, data) -> np.ndarray:
     """Codes for data given in the model's input space, as ``pq_encode``
     gives them for all the rotated rows at once. The rows are converted to
-    float64, checked, padded and rotated one chunk at a time
+    float64, checked and rotated one chunk at a time
     (``encode_in_chunks``), so any float dtype is read without a whole
     float64 copy."""
     x = as_rows(data, "data")
-    _check_input_dim(model, x)
+    check_width(x, model.input_dim, "input", "model")
     return encode_in_chunks(model, x, lambda chunk: as_matrix(chunk, "data"))
 
 
@@ -710,14 +698,14 @@ def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:
     """Reconstruction from codes.
 
     With ``rotated`` the reconstruction stays in the rotated space the
-    codebook lives in; otherwise it is mapped back to the input space and
-    any padding columns are dropped.
+    codebook lives in; otherwise it is mapped back to the input space
+    through the rotation's first ``input_dim`` columns, so no padding
+    column is computed.
     """
     z = pq_decode(model.codebook, codes)
     if rotated:
         return z
-    back = z @ model.rotation
-    return back[..., : model.input_dim]
+    return z @ model.rotation[:, : model.input_dim]
 
 
 def reconstruction_error(model, data) -> float:
@@ -729,7 +717,7 @@ def reconstruction_error(model, data) -> float:
     """
     x = as_matrix(data, "data")
     if isinstance(model, PQCodebook):
-        x_rot = pad_columns(x, model.dim) if x.shape[1] < model.dim else x
+        x_rot = np.pad(x, [(0, 0), (0, max(0, model.dim - x.shape[1]))])
         codebook = model
     elif isinstance(model, OPQModel):
         x_rot = apply_rotation(model, x)

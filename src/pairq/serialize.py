@@ -117,9 +117,12 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
 
     The bytes go to a new file in the same directory, which then replaces
     ``path`` in one step, so a failed write leaves any existing file as it
-    was. A model that ``load_model`` would reject once written (say K > 256,
-    a NaN centroid or a non-orthogonal rotation) raises ValueError with
-    ``load_model``'s message, and nothing is written.
+    was; a symlink is written through to its target and stays a link. A
+    ``path`` that exists but is no regular file nor a link to one (a FIFO,
+    a directory, a loop of links) raises ValueError, and so does a model
+    that ``load_model`` would reject once written (say K > 256, a NaN
+    centroid or a non-orthogonal rotation), with its message; nothing is
+    written then.
     """
     if isinstance(model, PairQModel):
         mode = MODE_SCALAR if model.mode == SCALAR else MODE_SQDIST
@@ -159,12 +162,15 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
         _parse(data)
     except ValueError as exc:
         raise ValueError(f"model would not load: {exc}") from None
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise ValueError(f"output {os.fspath(path)} is not a regular file")
+    tmp = f"{target}.{secrets.token_hex(4)}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

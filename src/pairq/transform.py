@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_rows, as_vector, psd_factors
+from .linalg import as_matrix, as_rows, as_vector, check_width, psd_factors
 from .quantizer import (
     DEFAULT_KMEANS_ITERS,
     DEFAULT_OUTER_ITERS,
     OPQModel,
     _fit_opq,
     encode_in_chunks,
-    pad_columns,
 )
 
 SCALAR = "scalar"
@@ -113,19 +112,11 @@ def learn_sqdist_transform(queries) -> PairTransform:
     return _learn_transform(queries, SQDIST)
 
 
-def _check_source_dim(transform: PairTransform, x: np.ndarray) -> None:
-    if x.shape[1] != transform.source_dim:
-        raise ValueError(
-            f"data dimension {x.shape[1]} does not match transform "
-            f"source dimension {transform.source_dim}"
-        )
-
-
 def transform_database(transform: PairTransform, data) -> np.ndarray:
     """Map raw database vectors into the transform's space (lifting first
     in sqdist mode)."""
     x = as_matrix(data, "data")
-    _check_source_dim(transform, x)
+    check_width(x, transform.source_dim, "data", "transform source")
     if transform.mode == SQDIST:
         x = _lift_batch(x)
     return x @ transform.matrix.T
@@ -154,17 +145,18 @@ def train_pairq(
 ) -> PairQModel:
     """Quantize the transformed database.
 
-    The transformed vectors are zero-padded when the transform dimension
-    is not divisible by ``num_blocks``. ``model.opq.codes`` holds the
+    The quantizer's space is the transform dimension zero-padded to a
+    multiple of ``num_blocks`` (the rows are rotated into it without a
+    padded copy, see ``quantizer``). ``model.opq.codes`` holds the
     database's codes from training, the same bits as ``pairq_encode``.
     The transformed database is never held whole: each outer pass of the
-    fit (``quantizer._fit_opq``) converts, checks, lifts, transforms, pads
-    and rotates one chunk of rows at a time into the one reused array of
+    fit (``quantizer._fit_opq``) converts, checks, lifts, transforms and
+    rotates one chunk of rows at a time into the one reused array of
     rotated rows, as ``pairq_encode`` does, at the cost of one transform
     of the database per pass.
     """
     x = as_rows(database, "data")
-    _check_source_dim(transform, x)
+    check_width(x, transform.source_dim, "data", "transform source")
     opq = _fit_opq(
         x, lambda chunk: transform_database(transform, chunk), transform.dim,
         num_blocks, codebook_size, outer_iters, kmeans_iters, seed, pad=True,
@@ -175,11 +167,11 @@ def train_pairq(
 def pairq_encode(model: PairQModel, database) -> np.ndarray:
     """Codes for raw database vectors, as ``pq_encode`` gives them for all
     the transformed and rotated rows at once. Each chunk of rows is
-    converted to float64, checked, lifted, transformed, padded and rotated
-    in turn (``quantizer.encode_in_chunks``), so the pass holds chunks,
-    not whole copies of the database."""
+    converted to float64, checked, lifted, transformed and rotated into
+    the padded space in turn (``quantizer.encode_in_chunks``), so the pass
+    holds chunks, not whole copies of the database."""
     x = as_rows(database, "data")
-    _check_source_dim(model.transform, x)
+    check_width(x, model.transform.source_dim, "data", "transform source")
     return encode_in_chunks(
         model.opq, x, lambda chunk: transform_database(model.transform, chunk)
     )
@@ -194,13 +186,9 @@ def pairq_query_vector(model: PairQModel, q) -> np.ndarray:
     tables directly.
     """
     v = as_vector(q, "q")
-    if v.shape[0] != model.transform.source_dim:
-        raise ValueError(
-            f"query dimension {v.shape[0]} does not match transform "
-            f"source dimension {model.transform.source_dim}"
-        )
+    check_width(v, model.transform.source_dim, "query", "transform source")
     if model.mode == SQDIST:
         v = _query_lift(v[None, :])[0]
     r = model.transform.pinv.T @ v
-    return pad_columns(r[None, :], model.opq.dim)[0]
+    return np.concatenate([r, np.zeros(model.opq.dim - r.shape[0])])
 

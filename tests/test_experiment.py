@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,8 +294,8 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "fit_method",
                             lambda *a, **k: fitted.append(a))
         database, train_q, eval_q = tiny_data()
-        with pytest.raises(ValueError, match="eval queries have dimension 5, "
-                           "the database has dimension 8"):
+        with pytest.raises(ValueError, match="eval queries dimension 5 does "
+                           "not match database dimension 8"):
             run_experiment(tiny_config(), database, train_q, eval_q[:, :5])
         assert fitted == []
 
@@ -640,6 +641,40 @@ class TestCli:
             assert database.dtype == np.float32
             np.testing.assert_array_equal(database, rows)
 
+    @pytest.mark.parametrize("method", ["opq", "pairq"])
+    @pytest.mark.parametrize("task", ["scalar", "sqdist"])
+    def test_train_holds_the_float32_rows_and_the_rotated_rows(
+        self, workdir, monkeypatch, task, method
+    ):
+        # With CHUNK_ENTRIES patched to 1, K = 16 chunks are one 4096-row
+        # tile: five chunks of 64 columns. 63 columns pad to 64 with 16
+        # blocks; in sqdist mode 62 columns pad to 64, and lift to 63 first
+        # for pairq.
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        rows, tile, width = 5 * 4096, 4096, 64
+        dim = width - (1 if task == "scalar" else 2)
+        rng = np.random.default_rng(dim)
+        write_fvecs("db.fvecs", rng.standard_normal((rows, dim)))
+        write_fvecs("q.fvecs", rng.standard_normal((300, dim)))
+        float32_rows = 4 * rows * dim
+        rotated = 8 * rows * width
+        chunk = 8 * tile * width
+        tracemalloc.start()
+        try:
+            code = run_cli("train", "--mode", task, "--method", method,
+                           "--database", "db.fvecs", "--train-queries",
+                           "q.fvecs", "-M", 16, "-K", 16, "--outer-iters", 1,
+                           "--kmeans-iters", 2, "--out", "m.pairq")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # The file's rows, the rotated rows, a chunk's reconstruction and
+        # one block's Lloyd arrays (4 of 64 columns): 22.1-22.3 MB against
+        # a bound of 24.0 MB. With the file converted whole to float64 the
+        # peak read 27.2-27.6 MB.
+        assert peak < float32_rows + rotated + 4 * chunk, peak
+
     def test_train_mse_table_uses_the_training_codes(self, workdir, monkeypatch):
         def no_encode(*args):
             raise AssertionError("the error-mean table encoded the database again")
@@ -930,8 +965,9 @@ class TestCli:
         ("sqdist", "opq,opq-bc,pairq"),
     ])
     def test_bench_csv_matches_the_library(self, workdir, task, methods):
-        # pairq bench reads its files and hands the float32 rows to
-        # run_experiment, which is all the library call below does.
+        # pairq bench hands run_experiment the files' rows as float64; the
+        # library call below passes the float32 rows, which the grid
+        # converts to the same values.
         files = synth_bench_files(6, 200, 100, 8)
         code = run_cli("bench", "--task", task, "--methods", methods,
                        "--blocks", "2,3", "-K", 8, "--outer-iters", 1,
@@ -946,6 +982,25 @@ class TestCli:
         write_report_csv(run_experiment(config, *arrays), "api.csv")
         with open("cli.csv", "rb") as a, open("api.csv", "rb") as b:
             assert a.read() == b.read()
+
+    def test_bench_hands_run_experiment_float64_rows(self, workdir, monkeypatch):
+        # The grid checks float64 copies of its inputs, so the CLI converts
+        # the files' float32 rows first and holds one copy during the grid.
+        seen = []
+
+        def recording(config, *arrays):
+            seen.append(arrays)
+            return experiment.run_experiment(config, *arrays)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        files = synth_bench_files(6, 80, 30, 4)
+        code = run_cli("bench", "--task", "sqdist", "--blocks", "2", "-K", 4,
+                       "--outer-iters", 1, "--kmeans-iters", 3, *files)
+        assert code == 0
+        (arrays,) = seen
+        for array, path in zip(arrays, files[1::2]):
+            assert array.dtype == np.float64
+            np.testing.assert_array_equal(array, read_fvecs(path))
 
     def test_bench_writes_valid_json_for_an_empty_train_queries_file(
         self, workdir, capsys
@@ -999,7 +1054,7 @@ class TestCli:
             assert code == 2
             captured = capsys.readouterr()
             assert captured.err == (
-                "error: eval queries have dimension 5, the database has "
+                "error: eval queries dimension 5 does not match database "
                 "dimension 8\n"
             )
             assert "FAILED" not in captured.out
@@ -1022,7 +1077,7 @@ class TestCli:
                        "--mode", "sqdist", "--out", "m.json")
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: eval queries have dimension 5, the database has dimension 8\n"
+            "error: eval queries dimension 5 does not match database dimension 8\n"
         )
         assert not os.path.exists("m.json")
 

@@ -580,8 +580,8 @@ class TestEvaluateMethods:
         monkeypatch.setattr(metrics, "true_values",
                             lambda *args: scans.append(args))
         for kind in ("scalar", "sqdist"):
-            with pytest.raises(ValueError, match="eval queries have dimension "
-                               "5, the database has dimension 6"):
+            with pytest.raises(ValueError, match="eval queries dimension 5 "
+                               "does not match database dimension 6"):
                 evaluate_methods(scored[:1], kind, queries[:, :5], db)
         assert scans == []
 

@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary model format."""
 
 import os
+import stat
 import struct
 import tempfile
 
@@ -210,6 +211,48 @@ class TestAtomicSave:
         save_model(path, model)
         assert isinstance(load_model(path)[0], OPQModel)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pairq"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_symlink_is_written_through(self, tmp_path, existing):
+        _, model = make_opq()
+        save_model(tmp_path / "plain.pairq", model)
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "model.pairq"
+        if existing:
+            target.write_bytes(b"old")
+        link = tmp_path / "link.pairq"
+        link.symlink_to(target)
+        save_model(link, model)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "plain.pairq").read_bytes()
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["model.pairq"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "link to a fifo",
+                                      "link loop"])
+    def test_refuses_an_output_that_is_not_a_regular_file(self, tmp_path, kind):
+        _, model = make_opq()
+        fifo = tmp_path / "fifo"
+        out = fifo
+        if kind == "directory":
+            out = tmp_path / "dir"
+            out.mkdir()
+        elif kind == "link loop":
+            out = tmp_path / "a"
+            out.symlink_to(tmp_path / "b")
+            (tmp_path / "b").symlink_to(out)
+        else:
+            os.mkfifo(fifo)
+        if kind == "link to a fifo":
+            out = tmp_path / "link"
+            out.symlink_to(fifo)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(ValueError, match="is not a regular file"):
+            save_model(out, model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if kind.startswith("link"):
+            assert out.is_symlink()
+        if "fifo" in kind:
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestCorruption:

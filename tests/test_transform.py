@@ -12,7 +12,7 @@ from pairq.linalg import CHUNK_ENTRIES, ZERO_EIG_RTOL, psd_sqrt, pseudo_inverse
 from pairq.metrics import estimate_batch
 from pairq.quantizer import (
     TILE_ENTRIES,
-    apply_rotation,
+    opq_decode,
     opq_encode,
     pq_decode,
     pq_encode,
@@ -456,6 +456,15 @@ class TestEstimates:
         assert abs(errs.mean()) <= 5.0 * max(stderr, 1e-12)
 
 
+def padded_rotate(rotation, x, out=None):
+    """The rotation of rows copied out to the rotation's width with zero
+    columns: the reference for ``quantizer._rotate``, which multiplies by
+    the rotation's first columns instead."""
+    padded = np.zeros((x.shape[0], rotation.shape[0]))
+    padded[:, : x.shape[1]] = x
+    return np.matmul(padded, rotation.T, out=out)
+
+
 class TestChunkedEncode:
     """``opq_encode`` and ``pairq_encode`` walk the rows in chunks of whole
     assignment tiles; their codes equal one ``pq_encode`` call on all the
@@ -477,10 +486,11 @@ class TestChunkedEncode:
 
     @staticmethod
     def whole_batch(pairq, opq, x):
-        """Codes of one ``pq_encode`` call on all the rotated rows."""
+        """Codes of one ``pq_encode`` call on all the rows, copied out to
+        the padded width and rotated."""
         z = transform_database(pairq.transform, x)
-        return (pq_encode(pairq.opq.codebook, apply_rotation(pairq.opq, z)),
-                pq_encode(opq.codebook, apply_rotation(opq, x)))
+        return (pq_encode(pairq.opq.codebook, padded_rotate(pairq.opq.rotation, z)),
+                pq_encode(opq.codebook, padded_rotate(opq.rotation, x)))
 
     @staticmethod
     def count_chunks(monkeypatch):
@@ -496,13 +506,21 @@ class TestChunkedEncode:
     # One tile per chunk: chunks of TILE_ENTRIES // K rows, the last one
     # with a tail shorter than a tile. Scalar at 10 columns pads to 12,
     # cosine at 9 pads to 10, sqdist at 13 lifts to 14 and pads to 16;
-    # K = 100 has a tile of 655 rows.
+    # K = 100 has a tile of 655 rows. The wider cases pad 7 columns to 8,
+    # 100 to 104, 129 to 136 and 132, and lift 128 to 129 and pad it to
+    # 136: below 194 columns the rotation of unpadded rows keeps the
+    # padded copy's bits.
     @pytest.mark.parametrize("mode, dim, num_blocks, k", [
         ("scalar", 10, 4, 16),
         ("cosine", 9, 2, 16),
         ("sqdist", 13, 4, 16),
         ("scalar", 10, 4, 100),
         ("sqdist", 13, 4, 100),
+        ("scalar", 7, 4, 16),
+        ("scalar", 100, 8, 16),
+        ("scalar", 129, 8, 64),
+        ("scalar", 129, 4, 64),
+        ("sqdist", 128, 8, 64),
     ])
     def test_one_tile_chunks_give_whole_batch_codes(self, monkeypatch, mode, dim,
                                                     num_blocks, k):
@@ -516,6 +534,44 @@ class TestChunkedEncode:
         for codes, ref in zip(got, expected):
             assert codes.dtype == np.uint8
             np.testing.assert_array_equal(codes, ref)
+
+    # Padded widths below 194 columns: 7 to 8, 100 to 104, 129 to 136 and
+    # 132; sqdist lifts 99 to 100 and pads it to 104, and 128 to 129 and
+    # pads it to 132.
+    @pytest.mark.parametrize("method, dim, num_blocks", [
+        ("opq", 7, 4), ("opq", 100, 8), ("opq", 129, 8), ("opq", 129, 4),
+        ("scalar", 129, 8), ("sqdist", 99, 8), ("sqdist", 128, 4),
+    ])
+    def test_training_and_decode_keep_the_padded_copy_bits(self, monkeypatch,
+                                                           method, dim,
+                                                           num_blocks):
+        rng = np.random.default_rng(dim)
+        x = anisotropic(rng, 3000, np.linspace(3.0, 0.2, dim))
+        q = anisotropic(rng, 300, np.linspace(0.5, 2.0, dim))
+        opts = dict(outer_iters=2, kmeans_iters=3, seed=0)
+
+        def train_and_encode():
+            if method == "opq":
+                model = train_opq(x, num_blocks, 64, pad=True, **opts)
+                return model, opq_encode(model, x)
+            learn = {"scalar": learn_scalar_transform,
+                     "sqdist": learn_sqdist_transform}[method]
+            model = train_pairq(learn(q), x, num_blocks, 64, **opts)
+            return model.opq, pairq_encode(model, x)
+
+        opq, codes = train_and_encode()
+        monkeypatch.setattr(quantizer, "_rotate", padded_rotate)
+        ref, ref_codes = train_and_encode()
+        assert opq.dim > opq.input_dim
+        np.testing.assert_array_equal(opq.rotation, ref.rotation)
+        np.testing.assert_array_equal(opq.codebook.centroids, ref.codebook.centroids)
+        assert opq.trace == ref.trace
+        np.testing.assert_array_equal(opq.codes, ref.codes)
+        np.testing.assert_array_equal(codes, ref_codes)
+        np.testing.assert_array_equal(codes, opq.codes)
+        padded_back = pq_decode(opq.codebook, codes) @ opq.rotation
+        np.testing.assert_array_equal(opq_decode(opq, codes),
+                                      padded_back[:, : opq.input_dim])
 
     def test_chunks_of_the_module_constant_give_whole_batch_codes(self, monkeypatch):
         # K = 16 tiles are 4096 rows; at 16 columns a chunk is eight tiles.
