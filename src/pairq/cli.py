@@ -11,6 +11,8 @@ Subcommands cover the full workflow on vector files:
 Vector files use the fvecs/ivecs record layout. The cosine mode is the
 scalar mode after L2-normalizing every input; models carry no
 normalization state, so pass the same --mode to train, encode and eval.
+A pairq model does carry its mode: ``encode`` and ``eval`` refuse a
+--mode of the other kind before they read any vector file.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .experiment import (
     write_report_csv,
     write_report_json,
 )
-from .metrics import DEFAULT_PAIR_BUDGET, SQDIST, evaluate_method
+from .metrics import DEFAULT_PAIR_BUDGET, SQDIST, check_kind, evaluate_method
 from .quantizer import (
     DEFAULT_CODEBOOK_SIZE,
     DEFAULT_KMEANS_ITERS,
@@ -137,6 +139,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_encode(args) -> int:
     model, _ = load_model(args.model)
+    check_kind(model, task_kind(args.mode))
     codes = encode(model, _load_vectors(args.database, "database", args.mode))
     write_ivecs(args.out, codes)
     print(f"wrote {args.out} ({codes.shape[0]} codes, {codes.shape[1]} blocks)")
@@ -156,6 +159,7 @@ def _cmd_eval(args) -> int:
                   file=sys.stderr)
             return 2
         method = BiasCorrected(opq=model, mse=mse)
+    check_kind(method, task_kind(args.mode))
     # The pass scores float64 rows: converting them here frees the float32
     # rows before it runs.
     database = np.asarray(

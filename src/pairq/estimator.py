@@ -83,19 +83,15 @@ def build_lut_sqdist(model: OPQModel, q) -> np.ndarray:
 def adc_scan(lut, codes) -> np.ndarray:
     """Sum one table entry per block for every code.
 
-    ``lut`` is a (num_blocks, K) table. A single (num_blocks,) code returns
-    a float; a (N, num_blocks) batch returns a float64 vector. Each block's
+    ``lut`` is a (num_blocks, K) table and ``codes`` a (N, num_blocks)
+    batch; the result is a float64 vector of N estimates. Each block's
     entries are gathered with one ``row.take(codes[:, j])`` and added to a
     zeroed vector in block index order. Codes go through ``check_codes``,
     so a wrong block count, a non-integer dtype (bool included) or a code
     outside [0, K) raises ValueError.
     """
     table = as_matrix(lut, "lut")
-    codes = np.asarray(codes)
-    single = codes.ndim == 1
-    arr = check_codes(codes, *table.shape)
-    out = _scan(table, arr.T)
-    return float(out[0]) if single else out
+    return _scan(table, check_codes(np.asarray(codes), *table.shape).T)
 
 
 def _scan(table: np.ndarray, index) -> np.ndarray:

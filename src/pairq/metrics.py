@@ -70,24 +70,32 @@ REL_ERR_FLOOR = 1e-12
 SQDIST_MARGIN = 1 / 16
 
 
+def check_kind(method, kind: str) -> None:
+    """Raise ValueError unless ``method`` can give ``kind`` estimates: a
+    pairq model gives those of the mode it was trained for, and bias
+    correction squared distances only. The CLI checks a loaded model with
+    it before reading any vector file."""
+    if kind not in (SCALAR, SQDIST):
+        raise ValueError(f"unknown kind {kind!r}")
+    if isinstance(method, PairQModel) and method.mode != kind:
+        raise ValueError(
+            f"model mode {method.mode!r} cannot produce {kind!r} estimates"
+        )
+    if isinstance(method, BiasCorrected) and kind != SQDIST:
+        raise ValueError("bias correction applies to squared distances only")
+
+
 def _lut(method, query, kind: str) -> tuple[np.ndarray, float]:
     """The (num_blocks, K) table and the constant that score ``method``
     against one query, for ``estimate_batch`` and ``evaluate_methods``."""
-    if kind not in (SCALAR, SQDIST):
-        raise ValueError(f"unknown kind {kind!r}")
+    check_kind(method, kind)
     constant = 0.0
     if isinstance(method, PairQModel):
-        if method.mode != kind:
-            raise ValueError(
-                f"model mode {method.mode!r} cannot produce {kind!r} estimates"
-            )
         table = build_lut_scalar(method.opq, pairq_query_vector(method, query))
         if kind == SQDIST:
             q = np.asarray(query, dtype=np.float64)
             constant = float(q @ q)
     elif isinstance(method, BiasCorrected):
-        if kind != SQDIST:
-            raise ValueError("bias correction applies to squared distances only")
         check_mse_table(method.mse, method.opq.codebook)
         table = build_lut_sqdist(method.opq, query) + method.mse.values
     elif isinstance(method, OPQModel):

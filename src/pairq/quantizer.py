@@ -434,21 +434,16 @@ def train_pq(
 def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     """Nearest sub-centroid index per block.
 
-    Accepts a single vector or a (N, dim) batch; returns (num_blocks,) or
-    (N, num_blocks) uint8 codes; a codebook that ``check_training`` rejects
-    raises ValueError. Ties go to the lowest index. BLAS rounds
-    the products ``x·c`` differently by batch shape, so a row within
-    rounding of a tie between two centroids can get another code when it
-    is encoded alone or in another batch; training stays bit-identical per
-    seed. ``opq_encode`` and ``pairq_encode`` call it on chunks of whole
-    tiles (``encode_in_chunks``), which keeps each tile where one call on
-    all their rows puts it.
+    Takes (N, dim) rows and returns (N, num_blocks) uint8 codes; a codebook
+    that ``check_training`` rejects raises ValueError. Ties go to the lowest
+    index. BLAS rounds the products ``x·c`` differently by batch shape, so
+    a row within rounding of a tie between two centroids can get another
+    code when it is encoded alone or in another batch; training stays
+    bit-identical per seed. ``opq_encode`` and ``pairq_encode`` call it on
+    chunks of whole tiles (``encode_in_chunks``), which keeps each tile
+    where one call on all their rows puts it.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    arr = as_matrix(arr, "x")
+    arr = as_matrix(x, "x")
     check_training(codebook.num_blocks, codebook.codebook_size)
     check_width(arr, codebook.dim, "input", "codebook")
     codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
@@ -456,45 +451,42 @@ def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     for j, block_centroids in enumerate(codebook.centroids):
         block = arr[:, j * sub : (j + 1) * sub]
         codes[:, j] = _assign_batch(_append_ones(block), block_centroids)[0]
-    return codes[0] if single else codes
+    return codes
 
 
 def check_codes(
     codes: np.ndarray, num_blocks: int, codebook_size: int
 ) -> np.ndarray:
-    """Codes as a (N, num_blocks) integer array, a single code as one row.
+    """``codes`` itself, once it is checked as a (N, num_blocks) integer array.
 
-    Raises ValueError unless there are ``num_blocks`` columns, the dtype is
-    an integer type (bool is not) and every code is in
+    Raises ValueError unless ``codes`` is 2-d with ``num_blocks`` columns,
+    the dtype is an integer type (bool is not) and every code is in
     [0, codebook_size). The dtype is kept, so no copy is made.
     """
-    arr = codes[None, :] if codes.ndim == 1 else codes
-    if arr.ndim != 2 or arr.shape[1] != num_blocks:
+    if codes.ndim != 2 or codes.shape[1] != num_blocks:
         raise ValueError(
             f"codes must have {num_blocks} blocks (columns), got shape {codes.shape}"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"codes must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= codebook_size):
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= codebook_size):
         raise ValueError(f"code out of range for codebook size {codebook_size}")
-    return arr
+    return codes
 
 
 def pq_decode(codebook: PQCodebook, codes) -> np.ndarray:
-    """Reconstruction by concatenating the selected sub-centroids.
+    """Reconstruction of (N, num_blocks) codes as (N, dim) rows, by
+    concatenating the selected sub-centroids.
 
     One flat gather: code c of block j is row ``c + K·j`` of the centroids
     viewed as (M·K, s), and one ``take`` of those rows copies every
     sub-centroid into place.
     """
-    codes = np.asarray(codes)
-    single = codes.ndim == 1
-    arr = check_codes(codes, codebook.num_blocks, codebook.codebook_size)
+    arr = check_codes(np.asarray(codes), *codebook.centroids.shape[:2])
     m, k, s = codebook.centroids.shape
     rows = np.add(arr, k * np.arange(m), dtype=np.intp)
     out = codebook.centroids.reshape(m * k, s).take(rows, axis=0)
-    out = out.reshape(arr.shape[0], m * s)
-    return out[0] if single else out
+    return out.reshape(arr.shape[0], m * s)
 
 
 @dataclass(eq=False)

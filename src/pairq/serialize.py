@@ -31,7 +31,6 @@ at float32 precision.
 from __future__ import annotations
 
 import os
-import secrets
 
 import numpy as np
 
@@ -165,7 +164,8 @@ def save_model(path, model, mse_table: MseTable | None = None) -> None:
     target = os.path.realpath(path)
     if os.path.lexists(target) and not os.path.isfile(target):
         raise ValueError(f"output {os.fspath(path)} is not a regular file")
-    tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+    # os.urandom, not secrets: importing secrets loads hashlib and OpenSSL.
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:

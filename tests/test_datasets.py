@@ -70,6 +70,23 @@ class TestFvecs:
         with pytest.raises(ValueError, match="truncated"):
             read_fvecs(path)
 
+    def test_size_not_a_multiple_of_four(self, tmp_path):
+        path = tmp_path / "v.fvecs"
+        write_fvecs(str(path), np.ones((3, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(ValueError, match="size 58 is not a multiple of 4"):
+            read_fvecs(str(path))
+
+    @pytest.mark.parametrize("data, message", [
+        (np.ones(3), "expected a 2-d array"),
+        (np.ones((2, 0)), "at least one component"),
+    ], ids=["1-d", "zero-width"])
+    def test_write_refuses_what_is_not_records(self, tmp_path, data, message):
+        path = tmp_path / "v.fvecs"
+        with pytest.raises(ValueError, match=message):
+            write_fvecs(str(path), data)
+        assert not path.exists()
+
     def test_non_finite_values_warn_but_load(self, tmp_path):
         path = str(tmp_path / "v.fvecs")
         data = np.array([[1.0, np.inf], [np.nan, 2.0]], dtype=np.float32)
@@ -198,6 +215,13 @@ class TestGenSynthetic:
         np.testing.assert_array_equal(a.eval_queries, b.eval_queries)
         c = gen_synthetic(spec, seed=6)
         assert not np.array_equal(a.database, c.database)
+
+    def test_one_dimension_has_unit_variance_whatever_the_decay(self):
+        spec = SyntheticSpec(dim=1, num_database=0, num_train_queries=20000,
+                             num_eval_queries=0, query_decay=2.0)
+        queries = gen_synthetic(spec, seed=2).train_queries
+        assert queries.shape == (20000, 1)
+        assert abs(queries.var() - 1.0) < 0.05
 
     def test_isotropic_sample_covariance(self):
         spec = SyntheticSpec(dim=8, num_database=20000, num_train_queries=0,

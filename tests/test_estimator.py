@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairq import quantizer
+from pairq import estimator, quantizer
 from pairq.estimator import (
     BiasCorrected,
     MseTable,
@@ -62,8 +62,9 @@ class TestBuildLutScalar:
         lut = build_lut_scalar(model, r)
         scans = adc_scan(lut, codes[:50])
         r_rot = model.rotation @ r
+        decoded = pq_decode(model.codebook, codes[:50])
         for i in range(50):
-            direct = r_rot @ pq_decode(model.codebook, codes[i])
+            direct = r_rot @ decoded[i]
             np.testing.assert_allclose(scans[i], direct, rtol=1e-10, atol=1e-12)
 
     def test_accepts_padded_and_unpadded_queries(self):
@@ -100,8 +101,9 @@ class TestBuildLutSqdist:
         lut = build_lut_sqdist(model, q)
         scans = adc_scan(lut, codes[:50])
         q_rot = model.rotation @ q
+        decoded = pq_decode(model.codebook, codes[:50])
         for i in range(50):
-            direct = ((q_rot - pq_decode(model.codebook, codes[i])) ** 2).sum()
+            direct = ((q_rot - decoded[i]) ** 2).sum()
             np.testing.assert_allclose(scans[i], direct, rtol=1e-10, atol=1e-12)
 
     def test_entries_are_nonnegative(self):
@@ -121,12 +123,12 @@ class TestAdcScan:
         table = np.array([[1.0, 2.0], [10.0, 20.0]])
         codes = np.array([[0, 1], [1, 0]])
         np.testing.assert_array_equal(adc_scan(table, codes), [21.0, 12.0])
-        assert adc_scan(table, np.array([1, 1])) == 22.0
+        np.testing.assert_array_equal(adc_scan(table, np.array([[1, 1]])), [22.0])
 
-    def test_single_code_returns_float(self):
-        table = np.zeros((2, 2))
-        out = adc_scan(table, np.array([0, 1]))
-        assert isinstance(out, float)
+    def test_one_code_returns_a_float64_vector(self):
+        out = adc_scan(np.zeros((2, 2)), np.array([[0, 1]]))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (1,) and out.dtype == np.float64
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(7)
@@ -151,6 +153,36 @@ class TestAdcScan:
         for dtype in (bool, float):
             with pytest.raises(ValueError, match="integers"):
                 adc_scan(table, np.ones((2, 2), dtype=dtype))
+
+
+def _no_work(*args):
+    raise AssertionError("a 1-d row or code reached the encode or the scan")
+
+
+BOOK = PQCodebook(centroids=np.zeros((2, 3, 2)))
+CODE = np.zeros(2, dtype=np.uint8)
+CODE_SHAPE = r"codes must have 2 blocks \(columns\), got shape \(2,\)"
+
+
+class TestRowsAndCodesAreBatches:
+    """Rows and codes are 2-d batches: one row or code is a batch of one,
+    and a 1-d one fails the shape check before any encode or scan."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: quantizer.pq_encode(BOOK, np.zeros(4)),
+                     r"x must be 2-dimensional, got shape \(4,\)", id="pq_encode"),
+        pytest.param(lambda: quantizer.pq_decode(BOOK, CODE), CODE_SHAPE,
+                     id="pq_decode"),
+        pytest.param(lambda: adc_scan(np.zeros((2, 3)), CODE), CODE_SHAPE,
+                     id="adc_scan"),
+        pytest.param(lambda: quantizer.check_codes(CODE, 2, 3), CODE_SHAPE,
+                     id="check_codes"),
+    ])
+    def test_one_d_row_or_code_raises(self, monkeypatch, call, message):
+        monkeypatch.setattr(quantizer, "_assign_batch", _no_work)
+        monkeypatch.setattr(estimator, "_scan", _no_work)
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # Every integer dtype ``check_codes`` accepts.
@@ -217,9 +249,6 @@ class TestGathersKeepTheirBits:
         held = code_layout(codes, layout)
         assert_same_bits(adc_scan(table, held), expected)
         assert_same_bits(adc_scan(table, held[:1]), expected[:1])
-        single = adc_scan(table, held[0])
-        assert isinstance(single, float)
-        assert_same_bits(single, expected[0])
 
     @pytest.mark.parametrize("dtype", CODE_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_negative_zero_table_sums_to_positive_zero(self, dtype):
@@ -242,7 +271,7 @@ class TestGathersKeepTheirBits:
         expected = element_decode(centroids, codes)
         held = code_layout(codes, layout)
         assert_same_bits(pq_decode(book, held), expected)
-        assert_same_bits(pq_decode(book, held[0]), expected[0])
+        assert_same_bits(pq_decode(book, held[:1]), expected[:1])
 
     def test_decode_of_a_strided_codebook(self):
         rng = np.random.default_rng(22)
@@ -398,7 +427,9 @@ class TestCorrectedSqdist:
         model = OPQModel(rotation=np.eye(4), codebook=book, input_dim=4)
         bc = BiasCorrected(opq=model, mse=MseTable(values=np.ones((4, 2))))
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        assert estimate_batch(bc, q, np.array([0, 1, 0, 1]), "sqdist") == 5.0
+        out = estimate_batch(bc, q, np.array([[0, 1, 0, 1]]), "sqdist")
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        np.testing.assert_array_equal(out, [5.0])
 
 
 class TestFixedPointIdentities:

@@ -98,6 +98,8 @@ class TestConfigValidation:
         # be changed into a bad one.
         with pytest.raises(ValueError, match="task"):
             ExperimentConfig(task="l1")
+        with pytest.raises(ValueError, match="methods is empty"):
+            ExperimentConfig(methods=())
         config = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.task = "l1"
@@ -147,6 +149,8 @@ class TestRunExperiment:
         pairq_cell = report.cell("pairq", 2)
         assert pairq_cell.error_reduction_vs_opq_pct is not None
         assert report.query_moment_condition > 2.0
+        with pytest.raises(KeyError, match=r"no cell for \(pairq, 8\)"):
+            report.cell("pairq", 8)
 
     @pytest.mark.parametrize("task, methods", [
         ("scalar", ("pairq", "opq")),
@@ -537,6 +541,15 @@ class TestCli:
         assert metrics["kind"] == "scalar"
         assert metrics["num_pairs"] == 12 * 300
         assert metrics["mse"] > 0
+        # Without --out the same JSON goes to stdout.
+        capsys.readouterr()
+        code = run_cli("eval", "--model", "model.pairq",
+                       "--database", "data/database.fvecs",
+                       "--codes", "codes.ivecs",
+                       "--eval-queries", "data/eval_queries.fvecs",
+                       "--mode", "scalar")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == metrics
 
     def test_sqdist_workflow_with_bias_correction(self, workdir):
         run_cli("synth", "--dim", 6, "--database-size", 200,
@@ -729,6 +742,46 @@ class TestCli:
             "error: model mode 'scalar' cannot produce 'sqdist' estimates\n"
         )
         assert not os.path.exists("m.json")
+
+    @pytest.mark.parametrize("command, trained, mode", [
+        ("encode", "sqdist", "cosine"), ("encode", "scalar", "sqdist"),
+        ("eval", "sqdist", "scalar"), ("eval", "scalar", "sqdist"),
+    ])
+    def test_mode_mismatch_refused_before_reading_vectors(
+        self, workdir, capsys, monkeypatch, command, trained, mode
+    ):
+        run_cli("synth", "--dim", 4, "--database-size", 60,
+                "--train-queries", 40, "--eval-queries", 5, "--out-dir", "d")
+        run_cli("train", "--mode", trained, "--method", "pairq",
+                "--database", "d/database.fvecs",
+                "--train-queries", "d/train_queries.fvecs",
+                "-M", 2, "-K", 4, "--outer-iters", 0, "--kmeans-iters", 5,
+                "--out", "m.pairq")
+        run_cli("encode", "--model", "m.pairq",
+                "--database", "d/database.fvecs",
+                "--mode", trained, "--out", "c.ivecs")
+        capsys.readouterr()
+        read = []
+        for name in ("read_fvecs", "read_ivecs"):
+            def recorded(path, real=getattr(cli, name)):
+                read.append(path)
+                return real(path)
+
+            monkeypatch.setattr(cli, name, recorded)
+        outputs = {
+            "encode": ("--out", "out.ivecs"),
+            "eval": ("--codes", "c.ivecs", "--eval-queries",
+                     "d/eval_queries.fvecs", "--out", "out.json"),
+        }[command]
+        code = run_cli(command, "--model", "m.pairq",
+                       "--database", "d/database.fvecs", "--mode", mode, *outputs)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: model mode {trained!r} cannot produce "
+            f"{experiment.task_kind(mode)!r} estimates\n"
+        )
+        assert read == []
+        assert not os.path.exists(outputs[-1])
 
     @pytest.mark.parametrize("method, message", [
         ("pairq", "--bias-correct applies to plain quantizer models"),

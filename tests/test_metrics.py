@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairq.estimator import (
-    BiasCorrected, MseTable, build_lut_sqdist, compute_mse_table,
+    BiasCorrected, MseTable, build_lut_scalar, build_lut_sqdist,
+    compute_mse_table,
 )
 from pairq.metrics import (
     DEFAULT_PAIR_BUDGET,
@@ -224,6 +225,35 @@ class TestEstimateBatch:
         with pytest.raises(ValueError, match="mode"):
             estimate_batch(model, q[0], codes, "sqdist")
 
+    @pytest.mark.parametrize("query, message", [
+        (np.array([0.0, np.nan, 0.0, 0.0]), "NaN or infinite"),
+        (np.array([0.0, 0.0, np.inf, 0.0]), "NaN or infinite"),
+        (np.zeros((1, 4)), "must be 1-dimensional"),
+    ], ids=["nan", "inf", "2-d"])
+    @pytest.mark.parametrize("entry", [
+        "estimate_batch-opq", "estimate_batch-pairq", "build_lut_scalar",
+        "pairq_query_vector",
+    ])
+    def test_rejects_a_query_that_is_not_a_finite_vector(
+        self, entry, query, message
+    ):
+        rng = np.random.default_rng(2)
+        db = rng.standard_normal((60, 4))
+        transform = learn_scalar_transform(rng.standard_normal((40, 4)))
+        opq = train_opq(db, 2, 4, outer_iters=0, kmeans_iters=5, seed=0)
+        model = train_pairq(transform, db, 2, 4, outer_iters=0,
+                            kmeans_iters=5, seed=0)
+        codes = opq_encode(opq, db)
+        call = {
+            "estimate_batch-opq": lambda: estimate_batch(opq, query, codes, "scalar"),
+            "estimate_batch-pairq": lambda: estimate_batch(model, query, codes,
+                                                           "scalar"),
+            "build_lut_scalar": lambda: build_lut_scalar(opq, query),
+            "pairq_query_vector": lambda: pairq_query_vector(model, query),
+        }[entry]
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_unknown_method_and_kind(self):
         with pytest.raises(ValueError, match="kind"):
             estimate_batch(None, np.zeros(2), np.zeros((1, 2), dtype=int), "x")
@@ -319,11 +349,12 @@ class TestEvaluateMethod:
         errs = []
         rels = []
         excluded = 0
+        decoded = pq_decode(model.codebook, codes)
         for q in queries:
             q_rot = model.rotation @ q
             for i in range(len(db)):
                 true = ((q - db[i]) ** 2).sum()
-                est = ((q_rot - pq_decode(model.codebook, codes[i])) ** 2).sum()
+                est = ((q_rot - decoded[i]) ** 2).sum()
                 errs.append(est - true)
                 if true > 1e-12:
                     rels.append(abs(est - true) / true)

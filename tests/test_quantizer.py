@@ -15,6 +15,7 @@ from pairq.quantizer import (
     PQCodebook,
     _append_ones,
     _assign_batch,
+    _check_monotone,
     _kmeans_pp_init,
     _lloyd,
     _seed_d2,
@@ -136,6 +137,16 @@ class TestKMeans:
             kmeans(np.array([[np.inf, 0.0]]), 1)
         with pytest.raises(ValueError, match="2-dimensional"):
             kmeans(np.zeros(5), 1)
+        with pytest.raises(ValueError, match="points is empty"):
+            kmeans(np.zeros((0, 2)), 1)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            kmeans(x, 1, max_iters=0)
+
+    def test_an_increasing_objective_raises(self):
+        _check_monotone([3.0, 2.0, 2.0], "k-means")
+        with pytest.raises(RuntimeError,
+                           match="k-means objective increased from 2.0 to 2.5"):
+            _check_monotone([3.0, 2.0, 2.5], "k-means")
 
     def test_column_view_fits_like_a_copy(self):
         # kmeans reads a column slice in place; the fit keeps every bit.
@@ -148,8 +159,10 @@ class TestKMeans:
 
 
 def assign(x, centroids) -> int:
-    """Nearest-centroid index through a one-block codebook."""
-    return int(pq_encode(PQCodebook(centroids=np.asarray(centroids)[None]), x)[0])
+    """Nearest-centroid index of one vector, encoded as a batch of one
+    through a one-block codebook."""
+    book = PQCodebook(centroids=np.asarray(centroids)[None])
+    return int(pq_encode(book, np.asarray(x)[None])[0, 0])
 
 
 class TestAssign:
@@ -448,6 +461,9 @@ class TestTrainPQ:
     def test_rejects_indivisible_dim_without_pad(self):
         with pytest.raises(ValueError, match="divisible"):
             train_pq(np.zeros((10, 7)), 2, 2)
+        # Zero columns divide by any block count, but hold no block.
+        with pytest.raises(ValueError, match="2 blocks exceed dimension 0"):
+            train_pq(np.zeros((10, 0)), 2, 2)
 
     def test_codebook_size_cap(self):
         with pytest.raises(ValueError, match=r"\[1, 256\]"):
@@ -468,13 +484,14 @@ class TestEncodeDecode:
         codes = pq_encode(self.book, self.x)
         assert codes.shape == (150, 4)
         assert codes.dtype == np.uint8
-        single = pq_encode(self.book, self.x[0])
-        np.testing.assert_array_equal(single, codes[0])
+        one = pq_encode(self.book, self.x[:1])
+        assert one.shape == (1, 4)
+        np.testing.assert_array_equal(one, codes[:1])
 
     def test_decode_of_codebook_point_is_exact(self):
         # A vector assembled from centroids must round-trip exactly.
         parts = [self.book.centroids[j][2] for j in range(4)]
-        x = np.concatenate(parts)
+        x = np.concatenate(parts)[None]
         code = pq_encode(self.book, x)
         np.testing.assert_array_equal(pq_decode(self.book, code), x)
 
@@ -489,21 +506,22 @@ class TestEncodeDecode:
         codes = pq_encode(self.book, self.x[:5])
         batch = pq_decode(self.book, codes)
         for i in range(5):
-            np.testing.assert_array_equal(batch[i], pq_decode(self.book, codes[i]))
+            np.testing.assert_array_equal(batch[i:i + 1],
+                                          pq_decode(self.book, codes[i:i + 1]))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
-            pq_encode(self.book, np.zeros(7))
+            pq_encode(self.book, np.zeros((1, 7)))
 
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError, match="out of range"):
-            pq_decode(self.book, np.array([0, 0, 0, 5]))
+            pq_decode(self.book, np.array([[0, 0, 0, 5]]))
         with pytest.raises(ValueError, match="out of range"):
-            pq_decode(self.book, np.array([0, 0, 0, -1]))
+            pq_decode(self.book, np.array([[0, 0, 0, -1]]))
 
     def test_rejects_float_codes(self):
         with pytest.raises(ValueError, match="integers"):
-            pq_decode(self.book, np.zeros(4))
+            pq_decode(self.book, np.zeros((1, 4)))
 
     def test_rejects_codebook_beyond_one_byte(self):
         # Centroid 256 is the nearest to 290; as a uint8 code it would wrap
@@ -653,10 +671,10 @@ class TestReconstructionError:
         x = rng.standard_normal((60, 6))
         model = train_opq(x, 3, 4, outer_iters=2, kmeans_iters=10, seed=1)
         x_rot = apply_rotation(model, x)
-        codes = pq_encode(model.codebook, x_rot)
+        decoded = pq_decode(model.codebook, pq_encode(model.codebook, x_rot))
         total = 0.0
         for i in range(60):
-            total += ((x_rot[i] - pq_decode(model.codebook, codes[i])) ** 2).sum()
+            total += ((x_rot[i] - decoded[i]) ** 2).sum()
         np.testing.assert_allclose(reconstruction_error(model, x), total, rtol=1e-10)
 
     def test_rejects_unknown_model(self):

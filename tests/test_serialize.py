@@ -455,6 +455,7 @@ class TestGoldenFile:
         # d = M·s = 4 must be n padded to a multiple of M = 2 blocks.
         (dict(mode=0, n=1, flags=5, matrix=None), "quantizer dimension 4"),
         (dict(mode=0, n=9, flags=5, matrix=None), "quantizer dimension 4"),
+        (dict(widths=(0, 0)), "non-positive block width"),
     ])
     def test_rejects_inconsistent_header(self, tmp_path, fields, message):
         path = tmp_path / "bad.pairq"

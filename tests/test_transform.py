@@ -410,8 +410,9 @@ class TestEstimates:
         codes = pairq_encode(model, db)
         r_rot = model.opq.rotation @ pairq_query_vector(model, q[0])
         est = estimate_batch(model, q[0], codes[:20], "scalar")
+        decoded = pq_decode(model.opq.codebook, codes[:20])
         for i in range(20):
-            manual = float(r_rot @ pq_decode(model.opq.codebook, codes[i]))
+            manual = float(r_rot @ decoded[i])
             assert est[i] == pytest.approx(manual)
 
     def test_zero_query_estimates_zero(self):
