@@ -245,6 +245,8 @@ def evaluate_methods(
     entry of ``scored``, in its order.
     """
     queries, x = check_eval_inputs(eval_queries, database)
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be >= 1")
     # Each codes array is checked once against the table of the first
     # query, as adc_scan checks codes against its table, then scanned from a
     # contiguous (M, N) intp index converted once for all queries.
@@ -259,8 +261,6 @@ def evaluate_methods(
         table, _ = _lut(method, queries[0], kind)
         arr = check_codes(codes, *table.shape)
         scans.append((method, np.ascontiguousarray(arr.T, dtype=np.intp)))
-    if max_pairs < 1:
-        raise ValueError("max_pairs must be >= 1")
 
     # Per method: summed squared, signed and relative errors.
     sums = [[0.0, 0.0, 0.0] for _ in scans]

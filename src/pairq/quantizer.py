@@ -43,12 +43,13 @@ about N·ε of a step of the CDF, about 1e-12 per draw at N = 20k.
 
 Widths: an OPQ model reads rows of its ``input_dim`` n and quantizes at
 d = M·s, n zero-padded to a multiple of the M blocks (``padded_dim``).
-Rows are never copied out to d columns: the rotation R multiplies them by
-its first n columns, ``x @ R[:, :n].T``, and ``opq_decode`` maps back
-through them; below 194 columns these are the padded products' bits
-(``row_chunks``). Query vectors are padded before their rotation, since
-R[:, :n] would round them otherwise and a table would depend on whether
-the query came with n or d entries.
+Rows are never copied out to d columns: training and encoding map a chunk
+of rows there in one product (``_map_rows``) by W = R[:, :n] @ C, pairq's
+transform C (the identity for opq) folded into the rotation's first n
+columns, and ``opq_decode`` maps back through R[:, :n]; below 194 columns
+these are the padded products' bits (``row_chunks``). Query vectors are
+padded before their rotation, since R[:, :n] would round them otherwise
+and a table would depend on whether the query came with n or d entries.
 
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
@@ -519,18 +520,21 @@ class OPQModel:
         return self.codebook.converged
 
 
-def _rotate(rotation: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """x, as if zero-padded to the rotation's dimension, rotated: the
-    product with the rotation's first ``x.shape[1]`` columns, into ``out``
+def _map_rows(rows, weights: np.ndarray, lift: bool, out=None) -> np.ndarray:
+    """``rows`` as float64 (checked by ``as_matrix``), with their ‖x‖² column
+    appended when ``lift``, times ``weights.T``: one product, into ``out``
     when it is given."""
-    return np.matmul(x, rotation[:, : x.shape[1]].T, out=out)
+    x = as_matrix(rows, "data")
+    if lift:
+        x = np.column_stack([x, np.einsum("ij,ij->i", x, x)])
+    return np.matmul(x, weights.T, out=out)
 
 
 def apply_rotation(model: OPQModel, data) -> np.ndarray:
     """Rows of the model's input width, rotated into its padded space."""
-    x = as_matrix(data, "data")
+    x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return _rotate(model.rotation, x)
+    return _map_rows(x, model.rotation[:, : model.input_dim], False)
 
 
 def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
@@ -554,8 +558,8 @@ def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
 
 def _fit_opq(
     rows: np.ndarray,
-    prepare,
-    input_dim: int,
+    transform: np.ndarray,
+    lift: bool,
     num_blocks: int,
     codebook_size: int,
     outer_iters: int,
@@ -565,18 +569,19 @@ def _fit_opq(
 ) -> OPQModel:
     """The alternating fit of ``train_opq`` and ``train_pairq``.
 
-    ``prepare`` maps a chunk of ``rows`` to float64 rows of ``input_dim``
-    columns, checked by ``as_matrix``. The fit's one whole (N, d) array is
-    ``x_rot``, the rotated rows. Each outer pass fills it chunk by chunk
-    (``row_chunks``, the chunks of ``encode_in_chunks``): prepare, then
-    rotate into the padded space (``_rotate``). So the first fill checks
-    every row before any k-means work, and the codes of
-    ``pq_encode(codebook, x_rot)`` are the encode's. After the encode each
-    chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross product and then
-    turns into its residual in place. With x_rot = x·Rᵀ, the Procrustes
-    input x̂ᵀ·x is ``cross @ R``.
+    ``transform`` C maps ``rows``, lifted by a ‖x‖² column when ``lift``,
+    to the model's input space of C.shape[0] columns. The fit's one whole
+    (N, d) array is ``x_rot``, the rotated rows. Each outer pass forms
+    W = R[:, :input_dim] @ C and fills ``x_rot`` chunk by chunk
+    (``row_chunks``, the chunks of ``encode_in_chunks``) with one product
+    each (``_map_rows``). So the first fill checks every row before any
+    k-means work, and the codes of ``pq_encode(codebook, x_rot)`` are the
+    encode's. After the encode each chunk decodes its codes, adds x̂ᵀ·x_rot
+    to a d×d cross product and then turns into its residual in place. With
+    x_rot = x·Rᵀ, the Procrustes input x̂ᵀ·x is ``cross @ R``.
     """
     check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
+    input_dim = transform.shape[0]
     if input_dim % num_blocks != 0 and not pad:
         raise ValueError(
             f"dimension {input_dim} not divisible by {num_blocks} blocks; "
@@ -590,8 +595,9 @@ def _fit_opq(
     codebook: PQCodebook | None = None
     trace: list[float] = []
     for t in range(outer_iters + 1):
+        weights = rotation[:, :input_dim] @ transform
         for chunk in chunks:
-            _rotate(rotation, prepare(rows[chunk]), out=x_rot[chunk])
+            _map_rows(rows[chunk], weights, lift, out=x_rot[chunk])
         if codebook is None:
             codebook = train_pq(
                 x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
@@ -652,26 +658,28 @@ def train_opq(
     """
     x = as_rows(data, "data")
     return _fit_opq(
-        x, lambda chunk: as_matrix(chunk, "data"), x.shape[1], num_blocks,
-        codebook_size, outer_iters, kmeans_iters, seed, pad,
+        x, np.eye(x.shape[1]), False, num_blocks, codebook_size, outer_iters,
+        kmeans_iters, seed, pad,
     )
 
 
-def encode_in_chunks(model: OPQModel, rows: np.ndarray, prepare) -> np.ndarray:
+def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.ndarray:
     """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time.
 
-    ``prepare`` maps a chunk of ``rows`` to float64 rows of the model's
-    input space, checked by ``as_matrix``; each chunk is then rotated into
-    the padded space and encoded by ``pq_encode``. The chunks are
+    ``transform`` C maps the rows, lifted by their ‖x‖² column when
+    ``lift``, to the model's input space. W = R[:, :input_dim] @ C is
+    formed once, and each chunk goes through one product into the padded
+    space (``_map_rows``) and is encoded by ``pq_encode``. The chunks are
     ``row_chunks`` at the widest of the rows and the model, so the codes
-    are those of one ``pq_encode`` call on all the rotated rows (up to 193
+    are those of one ``pq_encode`` call on all the mapped rows (up to 193
     columns, see ``row_chunks``) and those training keeps.
     """
     book = model.codebook
+    weights = model.rotation[:, : model.input_dim] @ transform
     codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8)
     width = max(rows.shape[1], model.dim)
     for chunk in row_chunks(rows.shape[0], width, book.codebook_size):
-        codes[chunk] = pq_encode(book, _rotate(model.rotation, prepare(rows[chunk])))
+        codes[chunk] = pq_encode(book, _map_rows(rows[chunk], weights, lift))
     return codes
 
 
@@ -683,7 +691,7 @@ def opq_encode(model: OPQModel, data) -> np.ndarray:
     float64 copy."""
     x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return encode_in_chunks(model, x, lambda chunk: as_matrix(chunk, "data"))
+    return encode_in_chunks(model, x, np.eye(model.input_dim), False)
 
 
 def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:

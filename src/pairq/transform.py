@@ -30,6 +30,7 @@ from .quantizer import (
     DEFAULT_OUTER_ITERS,
     OPQModel,
     _fit_opq,
+    _map_rows,
     encode_in_chunks,
 )
 
@@ -71,11 +72,6 @@ def lift_point(x) -> np.ndarray:
     return np.append(v, v @ v)
 
 
-def _lift_batch(x: np.ndarray) -> np.ndarray:
-    norms = np.einsum("ij,ij->i", x, x)
-    return np.hstack([x, norms[:, None]])
-
-
 def _query_lift(q: np.ndarray) -> np.ndarray:
     ones = np.ones((q.shape[0], 1))
     return np.hstack([-2.0 * q, ones])
@@ -113,13 +109,11 @@ def learn_sqdist_transform(queries) -> PairTransform:
 
 
 def transform_database(transform: PairTransform, data) -> np.ndarray:
-    """Map raw database vectors into the transform's space (lifting first
-    in sqdist mode)."""
-    x = as_matrix(data, "data")
+    """The reference map of raw database vectors into the transform's space
+    (lifting first in sqdist mode); the row path folds it into the rotation."""
+    x = as_rows(data, "data")
     check_width(x, transform.source_dim, "data", "transform source")
-    if transform.mode == SQDIST:
-        x = _lift_batch(x)
-    return x @ transform.matrix.T
+    return _map_rows(x, transform.matrix, transform.mode == SQDIST)
 
 
 @dataclass(eq=False)
@@ -150,16 +144,16 @@ def train_pairq(
     padded copy, see ``quantizer``). ``model.opq.codes`` holds the
     database's codes from training, the same bits as ``pairq_encode``.
     The transformed database is never held whole: each outer pass of the
-    fit (``quantizer._fit_opq``) converts, checks, lifts, transforms and
-    rotates one chunk of rows at a time into the one reused array of
-    rotated rows, as ``pairq_encode`` does, at the cost of one transform
-    of the database per pass.
+    fit (``quantizer._fit_opq``) converts, checks and lifts one chunk of
+    rows at a time and maps it into the one reused array of rotated rows
+    by one product with the transform folded into the rotation, as
+    ``pairq_encode`` does.
     """
     x = as_rows(database, "data")
     check_width(x, transform.source_dim, "data", "transform source")
     opq = _fit_opq(
-        x, lambda chunk: transform_database(transform, chunk), transform.dim,
-        num_blocks, codebook_size, outer_iters, kmeans_iters, seed, pad=True,
+        x, transform.matrix, transform.mode == SQDIST, num_blocks,
+        codebook_size, outer_iters, kmeans_iters, seed, pad=True,
     )
     return PairQModel(transform=transform, opq=opq)
 
@@ -167,14 +161,12 @@ def train_pairq(
 def pairq_encode(model: PairQModel, database) -> np.ndarray:
     """Codes for raw database vectors, as ``pq_encode`` gives them for all
     the transformed and rotated rows at once. Each chunk of rows is
-    converted to float64, checked, lifted, transformed and rotated into
-    the padded space in turn (``quantizer.encode_in_chunks``), so the pass
-    holds chunks, not whole copies of the database."""
+    converted to float64, checked, lifted and mapped by one product with
+    the transform folded into the rotation (``quantizer.encode_in_chunks``),
+    so the pass holds chunks, not whole copies of the database."""
     x = as_rows(database, "data")
     check_width(x, model.transform.source_dim, "data", "transform source")
-    return encode_in_chunks(
-        model.opq, x, lambda chunk: transform_database(model.transform, chunk)
-    )
+    return encode_in_chunks(model.opq, x, model.transform.matrix, model.mode == SQDIST)
 
 
 def pairq_query_vector(model: PairQModel, q) -> np.ndarray:

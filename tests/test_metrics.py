@@ -392,6 +392,16 @@ class TestEvaluateMethod:
         with pytest.raises(ValueError, match="max_pairs"):
             evaluate_method(model, "scalar", queries, db, codes, max_pairs=0)
 
+    def test_pair_budget_is_checked_before_any_table(self, monkeypatch):
+        rng, db, queries, model, codes = small_world()
+
+        def no_lut(*args, **kwargs):
+            raise AssertionError("a lookup table was built before the check")
+
+        monkeypatch.setattr(metrics, "_lut", no_lut)
+        with pytest.raises(ValueError, match="max_pairs must be >= 1"):
+            evaluate_method(model, "scalar", queries, db, codes, max_pairs=0)
+
 
 def every_method(kind, seed=0, n=150, dim=6):
     """(queries, database, [(method, codes)]) for every method of a kind."""

@@ -459,11 +459,25 @@ class TestEstimates:
 
 def padded_rotate(rotation, x, out=None):
     """The rotation of rows copied out to the rotation's width with zero
-    columns: the reference for ``quantizer._rotate``, which multiplies by
-    the rotation's first columns instead."""
+    columns, where the row path multiplies by the rotation's first columns
+    instead."""
     padded = np.zeros((x.shape[0], rotation.shape[0]))
     padded[:, : x.shape[1]] = x
     return np.matmul(padded, rotation.T, out=out)
+
+
+def padded_map(rows, weights, lift, out=None):
+    """The map of ``quantizer._map_rows`` with the (lifted) rows and the
+    folded weights W = R[:, :m] @ C copied out to the quantizer's width
+    with zero columns: the padded copy's product, where ``_map_rows``
+    multiplies by W's own columns."""
+    x = np.asarray(rows, dtype=np.float64)
+    if lift:
+        x = np.column_stack([x, np.einsum("ij,ij->i", x, x)])
+    dim = weights.shape[0]
+    padded_weights = np.zeros((dim, dim))
+    padded_weights[:, : weights.shape[1]] = weights
+    return padded_rotate(padded_weights, x, out=out)
 
 
 class TestChunkedEncode:
@@ -561,7 +575,7 @@ class TestChunkedEncode:
             return model.opq, pairq_encode(model, x)
 
         opq, codes = train_and_encode()
-        monkeypatch.setattr(quantizer, "_rotate", padded_rotate)
+        monkeypatch.setattr(quantizer, "_map_rows", padded_map)
         ref, ref_codes = train_and_encode()
         assert opq.dim > opq.input_dim
         np.testing.assert_array_equal(opq.rotation, ref.rotation)
@@ -573,6 +587,28 @@ class TestChunkedEncode:
         padded_back = pq_decode(opq.codebook, codes) @ opq.rotation
         np.testing.assert_array_equal(opq_decode(opq, codes),
                                       padded_back[:, : opq.input_dim])
+
+    # One scalar and one sqdist shape; sqdist lifts 128 columns to 129 and
+    # pads them to 136, the bench-sqdist model's widths.
+    @pytest.mark.parametrize("mode, dim, num_blocks, k", [
+        ("scalar", 10, 4, 16),
+        ("sqdist", 128, 8, 64),
+    ])
+    def test_row_path_folds_the_transform_into_the_rotation(self, monkeypatch, mode,
+                                                            dim, num_blocks, k):
+        x, pairq, opq = self.models(mode, dim, num_blocks, k, 3000)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the row path ran transform_database")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("pairq.transform.transform_database", no_transform)
+            model = train_pairq(pairq.transform, x[:1500], num_blocks, k,
+                                outer_iters=1, kmeans_iters=3, seed=0)
+            codes = pairq_encode(model, x)
+        expected, _ = self.whole_batch(model, opq, x)
+        np.testing.assert_array_equal(codes, expected)
+        np.testing.assert_array_equal(model.opq.codes, expected[:1500])
 
     def test_chunks_of_the_module_constant_give_whole_batch_codes(self, monkeypatch):
         # K = 16 tiles are 4096 rows; at 16 columns a chunk is eight tiles.
@@ -666,15 +702,20 @@ class TestChunkedTraining:
         x, q = self.data(self.WIDTH - 1, self.ROWS)
         transform = learn_sqdist_transform(q)
         sizes = []
+        map_rows = quantizer._map_rows
 
-        def recorded(t, rows):
+        def recorded(rows, weights, lift, out=None):
             sizes.append(len(rows))
-            return transform_database(t, rows)
+            return map_rows(rows, weights, lift, out=out)
 
-        monkeypatch.setattr("pairq.transform.transform_database", recorded)
-        train_pairq(transform, x, 16, 16, outer_iters=2, kmeans_iters=2, seed=0)
+        monkeypatch.setattr(quantizer, "_map_rows", recorded)
+        model = train_pairq(transform, x, 16, 16, outer_iters=2, kmeans_iters=2,
+                            seed=0)
         # Five chunks per pass, in each of the three passes.
         assert sizes == [self.TILE] * 15
+        sizes.clear()
+        pairq_encode(model, x)
+        assert sizes == [self.TILE] * 5
 
     @pytest.mark.parametrize("method", ["opq", "scalar", "sqdist"])
     def test_non_finite_row_fails_before_any_kmeans(self, monkeypatch, method):
