@@ -44,12 +44,13 @@ about N·ε of a step of the CDF, about 1e-12 per draw at N = 20k.
 Widths: an OPQ model reads rows of its ``input_dim`` n and quantizes at
 d = M·s, n zero-padded to a multiple of the M blocks (``padded_dim``).
 Rows are never copied out to d columns: training and encoding map a chunk
-of rows there in one product (``_map_rows``) by W = R[:, :n] @ C, pairq's
-transform C (the identity for opq) folded into the rotation's first n
-columns, and ``opq_decode`` maps back through R[:, :n]; below 194 columns
-these are the padded products' bits (``row_chunks``). Query vectors are
-padded before their rotation, since R[:, :n] would round them otherwise
-and a table would depend on whether the query came with n or d entries.
+of rows there in one product (``_map_rows``) by W (``_weights``). For opq,
+W is R[:, :n], a view of the rotation's first n columns; for pairq it is
+R[:, :m] @ C, its transform C folded into the rotation's first m columns.
+``opq_decode`` maps back through R[:, :n]; below 194 columns these are the
+padded products' bits (``row_chunks``). Query vectors are padded before
+their rotation, since R[:, :n] would round them otherwise and a table
+would depend on whether the query came with n or d entries.
 
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
@@ -530,11 +531,18 @@ def _map_rows(rows, weights: np.ndarray, lift: bool, out=None) -> np.ndarray:
     return np.matmul(x, weights.T, out=out)
 
 
+def _weights(rotation, input_dim: int, transform) -> np.ndarray:
+    """W, the map of ``_map_rows``: a view of the rotation's first
+    ``input_dim`` columns, times the transform C when there is one."""
+    head = rotation[:, :input_dim]
+    return head if transform is None else head @ transform
+
+
 def apply_rotation(model: OPQModel, data) -> np.ndarray:
     """Rows of the model's input width, rotated into its padded space."""
     x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return _map_rows(x, model.rotation[:, : model.input_dim], False)
+    return _map_rows(x, _weights(model.rotation, model.input_dim, None), False)
 
 
 def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
@@ -558,7 +566,7 @@ def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
 
 def _fit_opq(
     rows: np.ndarray,
-    transform: np.ndarray,
+    transform: np.ndarray | None,
     lift: bool,
     num_blocks: int,
     codebook_size: int,
@@ -570,18 +578,20 @@ def _fit_opq(
     """The alternating fit of ``train_opq`` and ``train_pairq``.
 
     ``transform`` C maps ``rows``, lifted by a ‖x‖² column when ``lift``,
-    to the model's input space of C.shape[0] columns. The fit's one whole
-    (N, d) array is ``x_rot``, the rotated rows. Each outer pass forms
-    W = R[:, :input_dim] @ C and fills ``x_rot`` chunk by chunk
-    (``row_chunks``, the chunks of ``encode_in_chunks``) with one product
-    each (``_map_rows``). So the first fill checks every row before any
-    k-means work, and the codes of ``pq_encode(codebook, x_rot)`` are the
-    encode's. After the encode each chunk decodes its codes, adds x̂ᵀ·x_rot
-    to a d×d cross product and then turns into its residual in place. With
-    x_rot = x·Rᵀ, the Procrustes input x̂ᵀ·x is ``cross @ R``.
+    to the model's input space of C.shape[0] columns; with no transform
+    (None, opq) that space is the rows' own. The fit's one whole (N, d)
+    array is ``x_rot``, the rotated rows. Each outer pass forms W
+    (``_weights``: R[:, :input_dim], times C when there is one) and fills
+    ``x_rot`` chunk by chunk (``row_chunks``, the chunks of
+    ``encode_in_chunks``) with one product each (``_map_rows``). So the
+    first fill checks every row before any k-means work, and the codes of
+    ``pq_encode(codebook, x_rot)`` are the encode's. After the encode each
+    chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross product and then
+    turns into its residual in place. With x_rot = x·Rᵀ, the Procrustes
+    input x̂ᵀ·x is ``cross @ R``.
     """
     check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
-    input_dim = transform.shape[0]
+    input_dim = rows.shape[1] if transform is None else transform.shape[0]
     if input_dim % num_blocks != 0 and not pad:
         raise ValueError(
             f"dimension {input_dim} not divisible by {num_blocks} blocks; "
@@ -595,7 +605,7 @@ def _fit_opq(
     codebook: PQCodebook | None = None
     trace: list[float] = []
     for t in range(outer_iters + 1):
-        weights = rotation[:, :input_dim] @ transform
+        weights = _weights(rotation, input_dim, transform)
         for chunk in chunks:
             _map_rows(rows[chunk], weights, lift, out=x_rot[chunk])
         if codebook is None:
@@ -652,14 +662,15 @@ def train_opq(
     the next multiple. The last pass encodes the rotated rows under the
     final rotation and codebook; the model keeps those codes, the bits
     ``opq_encode`` gives. The rows are converted to float64, checked and
-    rotated one chunk at a time into one reused array of rotated rows, the
-    only whole (N, d) array the fit holds (``_fit_opq``); the
-    reconstruction and the residual go chunk by chunk.
+    rotated one chunk at a time, by the rotation's first n columns, into
+    one reused array of rotated rows, the only whole (N, d) array the fit
+    holds (``_fit_opq``); the reconstruction and the residual go chunk by
+    chunk.
     """
     x = as_rows(data, "data")
     return _fit_opq(
-        x, np.eye(x.shape[1]), False, num_blocks, codebook_size, outer_iters,
-        kmeans_iters, seed, pad,
+        x, None, False, num_blocks, codebook_size, outer_iters, kmeans_iters,
+        seed, pad,
     )
 
 
@@ -667,15 +678,16 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.n
     """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time.
 
     ``transform`` C maps the rows, lifted by their ‖x‖² column when
-    ``lift``, to the model's input space. W = R[:, :input_dim] @ C is
-    formed once, and each chunk goes through one product into the padded
-    space (``_map_rows``) and is encoded by ``pq_encode``. The chunks are
-    ``row_chunks`` at the widest of the rows and the model, so the codes
-    are those of one ``pq_encode`` call on all the mapped rows (up to 193
-    columns, see ``row_chunks``) and those training keeps.
+    ``lift``, to the model's input space; None (opq) means the rows are
+    in it already. W (``_weights``: R[:, :input_dim], times C when there
+    is one) is formed once, and each chunk goes through one product into
+    the padded space (``_map_rows``) and is encoded by ``pq_encode``. The
+    chunks are ``row_chunks`` at the widest of the rows and the model, so
+    the codes are those of one ``pq_encode`` call on all the mapped rows
+    (up to 193 columns, see ``row_chunks``) and those training keeps.
     """
     book = model.codebook
-    weights = model.rotation[:, : model.input_dim] @ transform
+    weights = _weights(model.rotation, model.input_dim, transform)
     codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8)
     width = max(rows.shape[1], model.dim)
     for chunk in row_chunks(rows.shape[0], width, book.codebook_size):
@@ -686,12 +698,12 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.n
 def opq_encode(model: OPQModel, data) -> np.ndarray:
     """Codes for data given in the model's input space, as ``pq_encode``
     gives them for all the rotated rows at once. The rows are converted to
-    float64, checked and rotated one chunk at a time
-    (``encode_in_chunks``), so any float dtype is read without a whole
-    float64 copy."""
+    float64, checked and rotated by the rotation's first ``input_dim``
+    columns one chunk at a time (``encode_in_chunks``), so any float dtype
+    is read without a whole float64 copy."""
     x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return encode_in_chunks(model, x, np.eye(model.input_dim), False)
+    return encode_in_chunks(model, x, None, False)
 
 
 def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for vector file IO and synthetic data generation."""
 
 import hashlib
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +70,20 @@ class TestFvecs:
         with open(path, "wb") as fh:
             fh.write(raw[:-4])
         with pytest.raises(ValueError, match="truncated"):
+            read_fvecs(path)
+
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path, monkeypatch):
+        # fstat reports one whole record (20 bytes) more than the file holds,
+        # as if the file were cut after its size was read: every size check
+        # passes, and the short read of the last chunk is refused.
+        path = str(tmp_path / "v.fvecs")
+        write_fvecs(path, np.ones((3, 4), dtype=np.float32))
+
+        def grown(fd):
+            return SimpleNamespace(st_size=os.fstat(fd).st_size + 20)
+
+        monkeypatch.setattr(datasets, "os", SimpleNamespace(fstat=grown))
+        with pytest.raises(ValueError, match="truncated record at end of file"):
             read_fvecs(path)
 
     def test_size_not_a_multiple_of_four(self, tmp_path):

@@ -550,12 +550,13 @@ class TestChunkedEncode:
             assert codes.dtype == np.uint8
             np.testing.assert_array_equal(codes, ref)
 
-    # Padded widths below 194 columns: 7 to 8, 100 to 104, 129 to 136 and
-    # 132; sqdist lifts 99 to 100 and pads it to 104, and 128 to 129 and
-    # pads it to 132.
+    # Padded widths below 194 columns: 3 to 8 (fewer columns than blocks,
+    # so five blocks are all zero), 7 to 8, 100 to 104, 129 to 136 and 132;
+    # sqdist lifts 99 to 100 and pads it to 104, and 128 to 129 and pads it
+    # to 132.
     @pytest.mark.parametrize("method, dim, num_blocks", [
-        ("opq", 7, 4), ("opq", 100, 8), ("opq", 129, 8), ("opq", 129, 4),
-        ("scalar", 129, 8), ("sqdist", 99, 8), ("sqdist", 128, 4),
+        ("opq", 3, 8), ("opq", 7, 4), ("opq", 100, 8), ("opq", 129, 8),
+        ("opq", 129, 4), ("scalar", 129, 8), ("sqdist", 99, 8), ("sqdist", 128, 4),
     ])
     def test_training_and_decode_keep_the_padded_copy_bits(self, monkeypatch,
                                                            method, dim,
@@ -609,6 +610,46 @@ class TestChunkedEncode:
         expected, _ = self.whole_batch(model, opq, x)
         np.testing.assert_array_equal(codes, expected)
         np.testing.assert_array_equal(model.opq.codes, expected[:1500])
+
+    def test_opq_maps_by_the_rotations_columns_and_pairq_by_a_product(self,
+                                                                      monkeypatch):
+        # opq pads 13 columns to 16; sqdist lifts them to 14 and pads to 16.
+        # Each pass and each encode maps its one chunk by one W.
+        x, pairq, _ = self.models("sqdist", 13, 4, 16, 3000)
+        seen = []
+        map_rows = quantizer._map_rows
+
+        def recorded(rows, weights, lift, out=None):
+            seen.append(weights)
+            return map_rows(rows, weights, lift, out=out)
+
+        monkeypatch.setattr(quantizer, "_map_rows", recorded)
+        opts = dict(outer_iters=2, kmeans_iters=3, seed=0)
+        opq = train_opq(x[:1500], 4, 16, pad=True, **opts)
+        opq_encode(opq, x)
+        assert len(seen) == 4
+        for w in seen:
+            # A view of the first 13 columns of an orthogonal 16×16 rotation,
+            # not a product with an identity.
+            assert w.shape == (16, 13)
+            rotation = w.base
+            assert rotation is not None and rotation.shape == (16, 16)
+            assert w.ctypes.data == rotation.ctypes.data
+            np.testing.assert_allclose(rotation.T @ rotation, np.eye(16), atol=1e-12)
+        # The last pass and the encode map by the model's own rotation.
+        assert np.shares_memory(seen[2], opq.rotation)
+        assert np.shares_memory(seen[3], opq.rotation)
+
+        seen.clear()
+        model = train_pairq(pairq.transform, x[:1500], 4, 16, **opts)
+        pairq_encode(model, x)
+        assert len(seen) == 4
+        expected = model.opq.rotation[:, :14] @ model.transform.matrix
+        for w in seen:
+            assert w.shape == (16, 14)
+            assert w.base is None
+        np.testing.assert_array_equal(seen[2], expected)
+        np.testing.assert_array_equal(seen[3], expected)
 
     def test_chunks_of_the_module_constant_give_whole_batch_codes(self, monkeypatch):
         # K = 16 tiles are 4096 rows; at 16 columns a chunk is eight tiles.
