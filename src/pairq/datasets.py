@@ -24,10 +24,10 @@ import numpy as np
 from .linalg import CHUNK_ENTRIES, as_matrix, chunks, psd_factors
 
 
-def _read_records(path, dtype: np.dtype) -> np.ndarray:
-    """The records' values as one (N, dim) array, read into it one chunk of
-    about ``CHUNK_ENTRIES`` values at a time through one reused buffer: the
-    read holds the result and one chunk, not the file twice."""
+def _read_records(path, dtype: np.dtype, order: str) -> np.ndarray:
+    """The records' values as one (N, dim) array in ``order``, read into it
+    one chunk of about ``CHUNK_ENTRIES`` values at a time through one reused
+    buffer: the read holds the result and one chunk, not the file twice."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size == 0:
@@ -40,10 +40,10 @@ def _read_records(path, dtype: np.dtype) -> np.ndarray:
         if size % (4 * (dim + 1)) != 0:
             raise ValueError(f"{path}: truncated record at end of file")
         n = size // (4 * (dim + 1))
-        # A contiguous copy, not a view of ``np.fromfile``'s records that
-        # skips each record's dimension: ``adc_scan`` scans such strided
-        # int32 codes slower (2.7 against 2.3 ms at 40k×8, K = 64).
-        out = np.empty((n, dim), dtype=dtype)
+        # Filled chunk by chunk, not a view of ``np.fromfile``'s records
+        # that skips each record's dimension, so codes come out in the
+        # column order ``adc_scan`` reads block by block.
+        out = np.empty((n, dim), dtype=dtype, order=order)
         rows = max(1, CHUNK_ENTRIES // (dim + 1))
         table = np.empty((min(n, rows), dim + 1), dtype="<i4")
         fh.seek(0)
@@ -67,15 +67,17 @@ def read_fvecs(path) -> np.ndarray:
 
     Non-finite values are kept but reported through a warning.
     """
-    out = _read_records(path, np.dtype("<f4"))
+    out = _read_records(path, np.dtype("<f4"), "C")
     if out.size and not np.isfinite(out).all():
         warnings.warn(f"{path}: file contains non-finite values", RuntimeWarning)
     return out
 
 
 def read_ivecs(path) -> np.ndarray:
-    """Read an int32 vector file as an (N, dim) int32 array."""
-    return _read_records(path, np.dtype("<i4"))
+    """Read an int32 vector file as an (N, dim) int32 array in column
+    (Fortran) order: an ivecs file holds codes, and the table scan reads
+    each block's codes as one contiguous column."""
+    return _read_records(path, np.dtype("<i4"), "F")
 
 
 def _write_records(path, data: np.ndarray, dtype: np.dtype) -> None:

@@ -12,6 +12,12 @@ estimate is the same sum, bit for bit, whatever the codes' integer dtype.
 That loop, ``_scan``, is also the scan of ``metrics.evaluate_methods``,
 which reads every query's codes from a (M, N) intp index converted once.
 
+Codes the library makes (``pq_encode`` and the encoders built on it) or
+reads (``read_ivecs``) are (N, M) arrays in column order, so block j's
+codes are one contiguous column: ``take`` casts it to intp without a
+strided copy, and the eval pass's index is a contiguous cast of their
+transpose. Codes in any other layout scan to the same bits, more slowly.
+
 Accumulation is float64 end to end.
 """
 

@@ -436,19 +436,21 @@ def train_pq(
 def pq_encode(codebook: PQCodebook, x) -> np.ndarray:
     """Nearest sub-centroid index per block.
 
-    Takes (N, dim) rows and returns (N, num_blocks) uint8 codes; a codebook
-    that ``check_training`` rejects raises ValueError. Ties go to the lowest
-    index. BLAS rounds the products ``x·c`` differently by batch shape, so
-    a row within rounding of a tie between two centroids can get another
-    code when it is encoded alone or in another batch; training stays
-    bit-identical per seed. ``opq_encode`` and ``pairq_encode`` call it on
-    chunks of whole tiles (``encode_in_chunks``), which keeps each tile
-    where one call on all their rows puts it.
+    Takes (N, dim) rows and returns (N, num_blocks) uint8 codes in column
+    (Fortran) order, so block j's codes are one contiguous column, as the
+    table scan reads them; a codebook that ``check_training`` rejects
+    raises ValueError. Ties go to the lowest index. BLAS rounds the
+    products ``x·c`` differently by batch shape, so a row within rounding
+    of a tie between two centroids can get another code when it is encoded
+    alone or in another batch; training stays bit-identical per seed.
+    ``opq_encode`` and ``pairq_encode`` call it on chunks of whole tiles
+    (``encode_in_chunks``), which keeps each tile where one call on all
+    their rows puts it.
     """
     arr = as_matrix(x, "x")
     check_training(codebook.num_blocks, codebook.codebook_size)
     check_width(arr, codebook.dim, "input", "codebook")
-    codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8)
+    codes = np.empty((arr.shape[0], codebook.num_blocks), dtype=np.uint8, order="F")
     sub = codebook.centroids.shape[2]
     for j, block_centroids in enumerate(codebook.centroids):
         block = arr[:, j * sub : (j + 1) * sub]
@@ -463,7 +465,12 @@ def check_codes(
 
     Raises ValueError unless ``codes`` is 2-d with ``num_blocks`` columns,
     the dtype is an integer type (bool is not) and every code is in
-    [0, codebook_size). The dtype is kept, so no copy is made.
+    [0, codebook_size). The dtype and the layout are kept, so no copy is
+    made: the encoders' codes and ``read_ivecs``' are in column order,
+    codes from elsewhere may be in any. The range takes one pass, a ``max``
+    of the codes viewed as the unsigned type of their width, where a
+    negative code reads as 2^(bits−1) or more; a dtype whose whole range
+    lies in [0, codebook_size), such as uint8 at K = 256, takes none.
     """
     if codes.ndim != 2 or codes.shape[1] != num_blocks:
         raise ValueError(
@@ -471,8 +478,13 @@ def check_codes(
         )
     if not np.issubdtype(codes.dtype, np.integer):
         raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() >= codebook_size):
-        raise ValueError(f"code out of range for codebook size {codebook_size}")
+    info = np.iinfo(codes.dtype)
+    if codes.size and (info.min < 0 or info.max >= codebook_size):
+        # Viewed unsigned, a code in [0, info.max] reads as itself and a
+        # negative one as info.max + 1 or more.
+        top = min(codebook_size, info.max + 1)
+        if codes.view(codes.dtype.str.replace("i", "u")).max() >= top:
+            raise ValueError(f"code out of range for codebook size {codebook_size}")
     return codes
 
 
@@ -675,7 +687,8 @@ def train_opq(
 
 
 def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.ndarray:
-    """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time.
+    """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time,
+    in column order like ``pq_encode``'s.
 
     ``transform`` C maps the rows, lifted by their ‖x‖² column when
     ``lift``, to the model's input space; None (opq) means the rows are
@@ -688,7 +701,7 @@ def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.n
     """
     book = model.codebook
     weights = _weights(model.rotation, model.input_dim, transform)
-    codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8)
+    codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8, order="F")
     width = max(rows.shape[1], model.dim)
     for chunk in row_chunks(rows.shape[0], width, book.codebook_size):
         codes[chunk] = pq_encode(book, _map_rows(rows[chunk], weights, lift))

@@ -170,6 +170,31 @@ class TestChunkedIO:
             assert fh.read() == reference_records(codes, "<i4")
         np.testing.assert_array_equal(read_ivecs(path), codes)
 
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 31])
+    def test_ivecs_read_in_column_order_fvecs_in_row_order(self, tmp_path, n):
+        codes = np.random.default_rng(n).integers(0, 256, size=(n, 3)).astype(np.int32)
+        write_ivecs(str(tmp_path / "c.ivecs"), codes)
+        back = read_ivecs(str(tmp_path / "c.ivecs"))
+        assert back.dtype == np.int32
+        assert back.flags.f_contiguous and not back.flags.c_contiguous
+        np.testing.assert_array_equal(back, codes)
+        write_fvecs(str(tmp_path / "v.fvecs"), codes)
+        rows = read_fvecs(str(tmp_path / "v.fvecs"))
+        assert rows.flags.c_contiguous and not rows.flags.f_contiguous
+        np.testing.assert_array_equal(rows, codes)
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 31])
+    def test_column_order_codes_round_trip(self, tmp_path, n):
+        # The encoders' codes are in column order; the file holds the rows.
+        path = str(tmp_path / "c.ivecs")
+        codes = np.random.default_rng(n).integers(0, 256, size=(n, 3)).astype(np.uint8)
+        write_ivecs(path, np.asfortranarray(codes))
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_records(codes, "<i4")
+        back = read_ivecs(path)
+        assert back.flags.f_contiguous
+        np.testing.assert_array_equal(back, codes)
+
     def test_ivecs_range_is_checked_before_anything_is_written(self, tmp_path):
         path = tmp_path / "c.ivecs"
         codes = np.zeros((25, 3), dtype=np.int64)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairq import estimator, quantizer
 from pairq.estimator import (
@@ -202,6 +204,57 @@ def code_layout(codes, layout):
     if layout == "negative-strides":
         return codes[::-1, ::-1].copy()[::-1, ::-1]
     return np.ascontiguousarray(codes)
+
+
+class TestCheckCodesRange:
+    """``check_codes`` reads the range in one ``max`` of the codes viewed
+    unsigned, or not at all when the dtype cannot hold a code out of range;
+    it accepts exactly the codes in [0, K)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from(CODE_DTYPES),
+        layout=st.sampled_from(LAYOUTS),
+        k=st.one_of(st.integers(1, 300),
+                    st.sampled_from([2**15, 2**16, 2**31, 2**32, 2**63, 2**64])),
+        shape=st.tuples(st.integers(0, 5), st.integers(1, 4)),
+    )
+    def test_accepts_exactly_the_codes_in_range(self, data, dtype, layout, k, shape):
+        info = np.iinfo(dtype)
+        edges = [v for v in (0, k - 1, k, -1, info.min, info.max)
+                 if info.min <= v <= info.max]
+        values = st.one_of(st.sampled_from(edges), st.integers(info.min, info.max))
+        size = shape[0] * shape[1]
+        codes = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                         dtype=dtype).reshape(shape)
+        held = code_layout(codes, layout)
+        if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= k):
+            with pytest.raises(ValueError, match=f"out of range for codebook size {k}$"):
+                quantizer.check_codes(held, shape[1], k)
+        else:
+            assert quantizer.check_codes(held, shape[1], k) is held
+
+    @pytest.mark.parametrize("dtype, k, passes", [
+        (np.uint8, 256, []), (np.uint8, 300, []), (np.uint16, 2**16, []),
+        (np.uint8, 255, ["max"]), (np.uint16, 256, ["max"]),
+        (np.int8, 100, ["max"]), (np.int32, 64, ["max"]), (np.int64, 256, ["max"]),
+    ])
+    def test_one_pass_or_none(self, dtype, k, passes):
+        seen = []
+
+        class Counted(np.ndarray):
+            def min(self, *args, **kwargs):
+                seen.append("min")
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                seen.append("max")
+                return super().max(*args, **kwargs)
+
+        codes = np.arange(40).reshape(10, 4).astype(dtype).view(Counted)
+        assert quantizer.check_codes(codes, 4, k) is codes
+        assert seen == passes
 
 
 def assert_same_bits(actual, expected):

@@ -365,6 +365,16 @@ class TestFitMethod:
         assert np.array_equal(codes, expected)
 
     @pytest.mark.parametrize("method", ["opq", "pairq"])
+    @pytest.mark.parametrize("task", ["scalar", "sqdist"])
+    def test_codes_are_in_column_order(self, task, method):
+        database, train_q, _ = tiny_data(dim=8)
+        model, codes = fit_method(task, method, database, train_q, 2, 8,
+                                  outer_iters=1, kmeans_iters=3, seed=1)
+        expected = np.ascontiguousarray(experiment.encode(model, database))
+        assert codes.flags.f_contiguous and not codes.flags.c_contiguous
+        np.testing.assert_array_equal(codes, expected)
+
+    @pytest.mark.parametrize("method", ["opq", "pairq"])
     @pytest.mark.parametrize("task", ["scalar", "cosine", "sqdist"])
     def test_codes_are_those_encode_gives_across_chunks(self, monkeypatch, task,
                                                         method):

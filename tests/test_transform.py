@@ -804,3 +804,58 @@ class TestChunkedTraining:
         np.testing.assert_array_equal(np.vstack(seen), trained_rows)
         assert codes.dtype == np.uint8
         np.testing.assert_array_equal(codes, encoded)
+
+
+def row_order_codes(codebook, rows):
+    """The codes ``pq_encode`` picks for rows in the quantizer's space,
+    written block by block into a row-order (C) uint8 array: one
+    ``_assign_batch`` per block on all the rows."""
+    s = codebook.centroids.shape[2]
+    out = np.empty((len(rows), codebook.num_blocks), dtype=np.uint8)
+    for j, centroids in enumerate(codebook.centroids):
+        block = rows[:, j * s : (j + 1) * s]
+        out[:, j] = quantizer._assign_batch(quantizer._append_ones(block), centroids)[0]
+    return out
+
+
+class TestColumnOrderCodes:
+    """Every (N, M) code array the library makes is in column order, so each
+    block's codes are one contiguous column for the table scan, and it holds
+    the values of the row-order reference."""
+
+    @staticmethod
+    def assert_column_order(codes, expected):
+        assert codes.dtype == np.uint8
+        assert codes.flags.f_contiguous and not codes.flags.c_contiguous
+        assert expected.flags.c_contiguous
+        np.testing.assert_array_equal(codes, expected)
+
+    def test_pq_encode(self):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((500, 12))
+        book = quantizer.train_pq(x, 3, 16, kmeans_iters=4, seed=0)
+        self.assert_column_order(pq_encode(book, x), row_order_codes(book, x))
+
+    # With CHUNK_ENTRIES patched to 1, K = 16 chunks are one 4096-row tile:
+    # the encoders fill their 9000 codes in two chunks, 4096 and 4904 rows.
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("method", ["opq", "scalar", "sqdist"])
+    def test_trained_and_encoded_codes(self, monkeypatch, method, chunked):
+        if chunked:
+            monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        rng = np.random.default_rng(41)
+        x = anisotropic(rng, 9000, np.linspace(3.0, 0.2, 11))
+        q = anisotropic(rng, 200, np.linspace(0.5, 2.0, 11))
+        opts = dict(outer_iters=1, kmeans_iters=3, seed=0)
+        if method == "opq":
+            opq = train_opq(x, 4, 16, pad=True, **opts)
+            encoded, transform = opq_encode(opq, x), None
+        else:
+            learn = learn_sqdist_transform if method == "sqdist" else learn_scalar_transform
+            model = train_pairq(learn(q), x, 4, 16, **opts)
+            opq, encoded, transform = model.opq, pairq_encode(model, x), model.transform.matrix
+        weights = quantizer._weights(opq.rotation, opq.input_dim, transform)
+        rows = quantizer._map_rows(x, weights, method == "sqdist")
+        expected = row_order_codes(opq.codebook, rows)
+        self.assert_column_order(opq.codes, expected)
+        self.assert_column_order(encoded, expected)
