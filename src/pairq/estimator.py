@@ -28,10 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, as_rows, as_vector
-from .quantizer import (
-    OPQModel, PQCodebook, apply_rotation, check_codes, pq_decode, pq_encode,
-    row_chunks,
-)
+from .quantizer import OPQModel, PQCodebook, _residual_chunks, check_codes
 
 
 @dataclass(eq=False)
@@ -117,38 +114,33 @@ def compute_mse_table(model: OPQModel, training_data, codes=None) -> MseTable:
 
     Codewords that receive no training points get 0. ``codes``, when given,
     must be ``opq_encode(model, training_data)``, one row per training
-    vector; the data is then not encoded again. The rows are converted,
-    checked and rotated one chunk at a time (``row_chunks``, as
-    ``opq_encode`` does), and each chunk's per-block errors go into one
-    (N, M) array, so the pass holds that array and one chunk, not rotated
-    or decoded copies of the data.
+    vector; they are checked (``check_codes``) before their row count, and
+    the data is then not encoded again. The residuals come from the
+    encoder's chunk walk (``quantizer._residual_chunks``): each chunk of
+    rows is converted, checked and rotated once. Each chunk's per-block
+    errors and bincount cells go into one (N, M) array each, so the pass
+    holds those two arrays and a chunk, not rotated or decoded copies of
+    the data.
     """
     x = as_rows(training_data, "training_data")
-    book = model.codebook
-    m, k, sub = book.centroids.shape
-    encode = codes is None
-    if encode:
-        codes = np.empty((x.shape[0], m), dtype=np.uint8)
-    elif len(codes) != x.shape[0]:
-        raise ValueError(f"{len(codes)} code rows for {x.shape[0]} training vectors")
+    m, k, sub = model.codebook.centroids.shape
+    if codes is not None:
+        codes = check_codes(np.asarray(codes), m, k)
+        if codes.shape[0] != x.shape[0]:
+            raise ValueError(f"{len(codes)} code rows for {len(x)} training vectors")
+    cells = np.empty((x.shape[0], m), dtype=np.intp)
     err = np.empty((x.shape[0], m))
-    for chunk in row_chunks(x.shape[0], max(x.shape[1], model.dim), k):
-        x_rot = apply_rotation(model, x[chunk])
-        if encode:
-            codes[chunk] = pq_encode(book, x_rot)
-        x_rot -= pq_decode(book, codes[chunk])
-        diff = x_rot.reshape(-1, m, sub)
+    for chunk, chunk_codes, residual in _residual_chunks(model, x, codes):
+        cells[chunk] = chunk_codes
+        diff = residual.reshape(-1, m, sub)
         np.einsum("nms,nms->nm", diff, diff, out=err[chunk])
-        # Free this chunk's rows before the next chunk's are made.
-        del x_rot, diff
     # One bincount for all blocks: codeword c of block j is bin j*K + c.
-    cells = (codes + k * np.arange(m)).ravel()
+    cells += k * np.arange(m)
+    cells = cells.ravel()
     sums = np.bincount(cells, weights=err.ravel(), minlength=m * k).reshape(m, k)
     counts = np.bincount(cells, minlength=m * k).reshape(m, k)
-    filled = counts > 0
-    values = np.zeros((m, k))
-    values[filled] = sums[filled] / counts[filled]
-    return MseTable(values=values)
+    # An empty cell's sum is 0, so it keeps that value.
+    return MseTable(values=np.divide(sums, counts, out=sums, where=counts > 0))
 
 
 @dataclass(eq=False)

@@ -252,14 +252,12 @@ def evaluate_methods(
     # contiguous (M, N) intp index converted once for all queries.
     scans = []
     for method, codes in scored:
-        codes = np.asarray(codes)
-        if codes.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"codes rows {codes.shape[0]} do not match database rows "
-                f"{x.shape[0]}"
-            )
         table, _ = _lut(method, queries[0], kind)
-        arr = check_codes(codes, *table.shape)
+        arr = check_codes(np.asarray(codes), *table.shape)
+        if arr.shape[0] != x.shape[0]:
+            raise ValueError(
+                f"codes rows {arr.shape[0]} do not match database rows {x.shape[0]}"
+            )
         scans.append((method, np.ascontiguousarray(arr.T, dtype=np.intp)))
 
     # Per method: summed squared, signed and relative errors.

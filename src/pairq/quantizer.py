@@ -47,10 +47,20 @@ Rows are never copied out to d columns: training and encoding map a chunk
 of rows there in one product (``_map_rows``) by W (``_weights``). For opq,
 W is R[:, :n], a view of the rotation's first n columns; for pairq it is
 R[:, :m] @ C, its transform C folded into the rotation's first m columns.
-``opq_decode`` maps back through R[:, :n]; below 194 columns these are the
-padded products' bits (``row_chunks``). Query vectors are padded before
-their rotation, since R[:, :n] would round them otherwise and a table
-would depend on whether the query came with n or d entries.
+The sqdist lift follows from the widths: W one column wider than the rows
+takes them with their ‖x‖² column appended (``transform`` holds a sqdist
+transform to (n + 1)² and a scalar one to n²). ``opq_decode`` maps back
+through R[:, :n]; below 194 columns these are the padded products' bits
+(``row_chunks``). Query vectors are padded before their rotation, since
+R[:, :n] would round them otherwise and a table would depend on whether
+the query came with n or d entries.
+
+One chunk walk for residuals: ``_residual_chunks`` maps each chunk of
+``row_chunks`` once, as ``encode_in_chunks`` maps it, encodes it unless
+codes are given and subtracts its decoding, for ``reconstruction_error``
+and the error-mean table (``estimator.compute_mse_table``). The fit's
+passes take the same chunks, so the residuals, and their sums added chunk
+by chunk, are training's.
 
 Determinism contract: every training entry point takes an integer seed and
 produces bit-identical models for identical inputs and seed. To keep that
@@ -533,12 +543,14 @@ class OPQModel:
         return self.codebook.converged
 
 
-def _map_rows(rows, weights: np.ndarray, lift: bool, out=None) -> np.ndarray:
-    """``rows`` as float64 (checked by ``as_matrix``), with their ‖x‖² column
-    appended when ``lift``, times ``weights.T``: one product, into ``out``
-    when it is given."""
+def _map_rows(rows, weights: np.ndarray, out=None) -> np.ndarray:
+    """``rows`` as float64 (checked by ``as_matrix``) times ``weights.T``:
+    one product, into ``out`` when it is given. The lift follows from the
+    widths: W one column wider than the rows (a sqdist transform folded in)
+    takes them with their ‖x‖² column appended, any other W takes them as
+    they are."""
     x = as_matrix(rows, "data")
-    if lift:
+    if weights.shape[1] == x.shape[1] + 1:
         x = np.column_stack([x, np.einsum("ij,ij->i", x, x)])
     return np.matmul(x, weights.T, out=out)
 
@@ -554,7 +566,7 @@ def apply_rotation(model: OPQModel, data) -> np.ndarray:
     """Rows of the model's input width, rotated into its padded space."""
     x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return _map_rows(x, _weights(model.rotation, model.input_dim, None), False)
+    return _map_rows(x, _weights(model.rotation, model.input_dim, None))
 
 
 def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
@@ -579,7 +591,6 @@ def row_chunks(n: int, width: int, codebook_size: int) -> list[slice]:
 def _fit_opq(
     rows: np.ndarray,
     transform: np.ndarray | None,
-    lift: bool,
     num_blocks: int,
     codebook_size: int,
     outer_iters: int,
@@ -589,18 +600,19 @@ def _fit_opq(
 ) -> OPQModel:
     """The alternating fit of ``train_opq`` and ``train_pairq``.
 
-    ``transform`` C maps ``rows``, lifted by a ‖x‖² column when ``lift``,
-    to the model's input space of C.shape[0] columns; with no transform
-    (None, opq) that space is the rows' own. The fit's one whole (N, d)
-    array is ``x_rot``, the rotated rows. Each outer pass forms W
-    (``_weights``: R[:, :input_dim], times C when there is one) and fills
-    ``x_rot`` chunk by chunk (``row_chunks``, the chunks of
-    ``encode_in_chunks``) with one product each (``_map_rows``). So the
-    first fill checks every row before any k-means work, and the codes of
-    ``pq_encode(codebook, x_rot)`` are the encode's. After the encode each
-    chunk decodes its codes, adds x̂ᵀ·x_rot to a d×d cross product and then
-    turns into its residual in place. With x_rot = x·Rᵀ, the Procrustes
-    input x̂ᵀ·x is ``cross @ R``.
+    ``transform`` C maps ``rows`` to the model's input space of C.shape[0]
+    columns, lifted first by their ‖x‖² column when C is one column wider
+    than they are (``_map_rows``); with no transform (None, opq) that space
+    is the rows' own. The fit's one whole (N, d) array is ``x_rot``, the
+    rotated rows. Each outer pass forms W (``_weights``: R[:, :input_dim],
+    times C when there is one) and fills ``x_rot`` chunk by chunk
+    (``row_chunks``, the chunks of ``encode_in_chunks``) with one product
+    each (``_map_rows``). So the first fill checks every row before any
+    k-means work, and the codes of ``pq_encode(codebook, x_rot)`` are the
+    encode's. After the encode each chunk decodes its codes, adds
+    x̂ᵀ·x_rot to a d×d cross product and then turns into its residual in
+    place, whose squared norms, summed chunk by chunk, are the trace entry.
+    With x_rot = x·Rᵀ, the Procrustes input x̂ᵀ·x is ``cross @ R``.
     """
     check_training(num_blocks, codebook_size, outer_iters, kmeans_iters)
     input_dim = rows.shape[1] if transform is None else transform.shape[0]
@@ -619,7 +631,7 @@ def _fit_opq(
     for t in range(outer_iters + 1):
         weights = _weights(rotation, input_dim, transform)
         for chunk in chunks:
-            _map_rows(rows[chunk], weights, lift, out=x_rot[chunk])
+            _map_rows(rows[chunk], weights, out=x_rot[chunk])
         if codebook is None:
             codebook = train_pq(
                 x_rot, num_blocks, codebook_size, kmeans_iters=kmeans_iters, seed=seed
@@ -681,31 +693,56 @@ def train_opq(
     """
     x = as_rows(data, "data")
     return _fit_opq(
-        x, None, False, num_blocks, codebook_size, outer_iters, kmeans_iters,
-        seed, pad,
+        x, None, num_blocks, codebook_size, outer_iters, kmeans_iters, seed, pad
     )
 
 
-def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform, lift) -> np.ndarray:
+def encode_in_chunks(model: OPQModel, rows: np.ndarray, transform) -> np.ndarray:
     """(N, M) uint8 codes of the N rows of a 2-d array, one chunk at a time,
     in column order like ``pq_encode``'s.
 
-    ``transform`` C maps the rows, lifted by their ‖x‖² column when
-    ``lift``, to the model's input space; None (opq) means the rows are
-    in it already. W (``_weights``: R[:, :input_dim], times C when there
-    is one) is formed once, and each chunk goes through one product into
-    the padded space (``_map_rows``) and is encoded by ``pq_encode``. The
-    chunks are ``row_chunks`` at the widest of the rows and the model, so
-    the codes are those of one ``pq_encode`` call on all the mapped rows
-    (up to 193 columns, see ``row_chunks``) and those training keeps.
+    ``transform`` C maps the rows to the model's input space; None (opq)
+    means the rows are in it already. W (``_weights``: R[:, :input_dim],
+    times C when there is one) is formed once, and each chunk goes through
+    one product into the padded space (``_map_rows``, which lifts the rows
+    when W is one column wider) and is encoded by ``pq_encode``. The chunks
+    are ``row_chunks`` at the widest of the rows and the model, so the
+    codes are those of one ``pq_encode`` call on all the mapped rows (up to
+    193 columns, see ``row_chunks``) and those training keeps.
     """
     book = model.codebook
     weights = _weights(model.rotation, model.input_dim, transform)
     codes = np.empty((rows.shape[0], book.num_blocks), dtype=np.uint8, order="F")
     width = max(rows.shape[1], model.dim)
     for chunk in row_chunks(rows.shape[0], width, book.codebook_size):
-        codes[chunk] = pq_encode(book, _map_rows(rows[chunk], weights, lift))
+        codes[chunk] = pq_encode(book, _map_rows(rows[chunk], weights))
     return codes
+
+
+def _residual_chunks(model: OPQModel, rows: np.ndarray, codes=None):
+    """The residuals of rows of the model's input width, chunk by chunk:
+    yields each chunk's slice, its codes and its residual, the rotated rows
+    less their decoding.
+
+    The chunks, W and the map are those of ``encode_in_chunks``, and each
+    chunk is mapped once, into one buffer that every chunk reuses (so a
+    caller reads a residual before it asks for the next). Its codes are
+    ``pq_encode``'s when ``codes`` is None, else the chunk's rows of
+    ``codes``. So the residuals, and their squared norms summed chunk by
+    chunk, are those of training's last pass on the same rows.
+    """
+    check_width(rows, model.input_dim, "input", "model")
+    book = model.codebook
+    weights = _weights(model.rotation, model.input_dim, None)
+    # Rows of the input width are no wider than the model, so these are the
+    # encode's chunks; the last one, which the tail joins, is the longest.
+    chunks = row_chunks(rows.shape[0], model.dim, book.codebook_size)
+    buffer = np.empty((chunks[-1].stop - chunks[-1].start, model.dim))
+    for chunk in chunks:
+        x_rot = _map_rows(rows[chunk], weights, out=buffer[: chunk.stop - chunk.start])
+        chunk_codes = pq_encode(book, x_rot) if codes is None else codes[chunk]
+        x_rot -= pq_decode(book, chunk_codes)
+        yield chunk, chunk_codes, x_rot
 
 
 def opq_encode(model: OPQModel, data) -> np.ndarray:
@@ -716,7 +753,7 @@ def opq_encode(model: OPQModel, data) -> np.ndarray:
     is read without a whole float64 copy."""
     x = as_rows(data, "data")
     check_width(x, model.input_dim, "input", "model")
-    return encode_in_chunks(model, x, None, False)
+    return encode_in_chunks(model, x, None)
 
 
 def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:
@@ -736,19 +773,18 @@ def opq_decode(model: OPQModel, codes, rotated: bool = False) -> np.ndarray:
 def reconstruction_error(model, data) -> float:
     """Total squared reconstruction error of ``data`` under ``model``.
 
-    Accepts a PQCodebook or an OPQModel. For the rotated model the error
-    is measured in the rotated space, which equals the input-space error
-    because the rotation is orthogonal.
+    Accepts a PQCodebook, which takes rows of its own width, or an
+    OPQModel. For the rotated model the error is measured in the rotated
+    space, which equals the input-space error because the rotation is
+    orthogonal. Its rows go one chunk at a time (``_residual_chunks``) and
+    the chunks' sums are added in order, as the fit's objective is: on the
+    training rows the result is ``model.trace[-1]``, bit for bit.
     """
-    x = as_matrix(data, "data")
     if isinstance(model, PQCodebook):
-        x_rot = np.pad(x, [(0, 0), (0, max(0, model.dim - x.shape[1]))])
-        codebook = model
-    elif isinstance(model, OPQModel):
-        x_rot = apply_rotation(model, x)
-        codebook = model.codebook
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    x_hat = pq_decode(codebook, pq_encode(codebook, x_rot))
-    diff = x_rot - x_hat
-    return float(np.einsum("ij,ij->", diff, diff))
+        x = as_matrix(data, "data")
+        diff = x - pq_decode(model, pq_encode(model, x))
+        return float(np.einsum("ij,ij->", diff, diff))
+    if isinstance(model, OPQModel):
+        return float(sum(np.einsum("ij,ij->", r, r)
+                         for _, _, r in _residual_chunks(model, as_rows(data, "data"))))
+    raise TypeError(f"unsupported model type {type(model).__name__}")

@@ -108,12 +108,29 @@ def learn_sqdist_transform(queries) -> PairTransform:
     return _learn_transform(queries, SQDIST)
 
 
-def transform_database(transform: PairTransform, data) -> np.ndarray:
-    """The reference map of raw database vectors into the transform's space
-    (lifting first in sqdist mode); the row path folds it into the rotation."""
+def _source_rows(transform: PairTransform, data) -> np.ndarray:
+    """``data`` as rows of the transform's source width n, once the
+    transform is checked to be (n + 1)² in sqdist mode and n² in scalar
+    mode. The row path lifts rows exactly when its map is one column wider
+    than they are (``quantizer._map_rows``), so this rule is what makes
+    it lift in sqdist mode only."""
+    width = transform.source_dim + (transform.mode == SQDIST)
+    if transform.matrix.shape != (width, width):
+        raise ValueError(
+            f"{transform.mode} transform of source dimension {transform.source_dim} "
+            f"must be {width}x{width}, got shape {transform.matrix.shape}"
+        )
     x = as_rows(data, "data")
     check_width(x, transform.source_dim, "data", "transform source")
-    return _map_rows(x, transform.matrix, transform.mode == SQDIST)
+    return x
+
+
+def transform_database(transform: PairTransform, data) -> np.ndarray:
+    """The reference map of raw database vectors into the transform's space
+    (lifting first in sqdist mode); the row path folds it into the rotation.
+    A transform of the wrong width for its mode raises ValueError
+    (``_source_rows``) before any product."""
+    return _map_rows(_source_rows(transform, data), transform.matrix)
 
 
 @dataclass(eq=False)
@@ -147,12 +164,13 @@ def train_pairq(
     fit (``quantizer._fit_opq``) converts, checks and lifts one chunk of
     rows at a time and maps it into the one reused array of rotated rows
     by one product with the transform folded into the rotation, as
-    ``pairq_encode`` does.
+    ``pairq_encode`` does. The rows are lifted exactly when the transform
+    is one column wider than they are, so a transform that is not (n + 1)²
+    in sqdist mode or n² in scalar mode raises ValueError (``_source_rows``)
+    before any product.
     """
-    x = as_rows(database, "data")
-    check_width(x, transform.source_dim, "data", "transform source")
     opq = _fit_opq(
-        x, transform.matrix, transform.mode == SQDIST, num_blocks,
+        _source_rows(transform, database), transform.matrix, num_blocks,
         codebook_size, outer_iters, kmeans_iters, seed, pad=True,
     )
     return PairQModel(transform=transform, opq=opq)
@@ -164,9 +182,8 @@ def pairq_encode(model: PairQModel, database) -> np.ndarray:
     converted to float64, checked, lifted and mapped by one product with
     the transform folded into the rotation (``quantizer.encode_in_chunks``),
     so the pass holds chunks, not whole copies of the database."""
-    x = as_rows(database, "data")
-    check_width(x, model.transform.source_dim, "data", "transform source")
-    return encode_in_chunks(model.opq, x, model.transform.matrix, model.mode == SQDIST)
+    x = _source_rows(model.transform, database)
+    return encode_in_chunks(model.opq, x, model.transform.matrix)
 
 
 def pairq_query_vector(model: PairQModel, q) -> np.ndarray:

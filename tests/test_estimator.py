@@ -401,7 +401,7 @@ class TestMseTable:
         def no_encode(*args):
             raise AssertionError("given codes were encoded again")
 
-        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        monkeypatch.setattr(quantizer, "pq_encode", no_encode)
         np.testing.assert_array_equal(
             compute_mse_table(model, x, codes).values, table
         )
@@ -427,6 +427,60 @@ class TestMseTable:
         np.testing.assert_array_equal(
             compute_mse_table(model, x, codes).values, whole
         )
+
+    def test_each_chunk_is_mapped_once(self, monkeypatch):
+        # K = 16 tiles are 4096 rows; with CHUNK_ENTRIES patched to 1 the
+        # rows go in chunks of 4096, 4096 and 5808. Each chunk is mapped by
+        # one product, and encoded only when no codes are given.
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        rng = np.random.default_rng(15)
+        model = self.random_model(rng, 12, 4, 16)
+        x = rng.standard_normal((3 * 4096 + 1712, 12))
+        codes = opq_encode(model, x)
+        mapped, encoded = [], []
+        map_rows, pq_encode = quantizer._map_rows, quantizer.pq_encode
+
+        def counted_map(rows, weights, out=None):
+            mapped.append(len(rows))
+            return map_rows(rows, weights, out=out)
+
+        def counted_encode(codebook, rows):
+            encoded.append(len(rows))
+            return pq_encode(codebook, rows)
+
+        monkeypatch.setattr(quantizer, "_map_rows", counted_map)
+        monkeypatch.setattr(quantizer, "pq_encode", counted_encode)
+        chunks = [4096, 4096, 5808]
+        for call, encodes in [(lambda: compute_mse_table(model, x), chunks),
+                              (lambda: compute_mse_table(model, x, codes), []),
+                              (lambda: reconstruction_error(model, x), chunks)]:
+            mapped.clear()
+            encoded.clear()
+            call()
+            assert mapped == chunks
+            assert encoded == encodes
+
+    def test_any_integer_codes_give_the_same_table(self):
+        rng = np.random.default_rng(16)
+        x, model = trained_model(rng)
+        codes = opq_encode(model, x)
+        table = compute_mse_table(model, x).values
+        for dtype in (np.int32, np.int64, np.uint16, np.uint64):
+            np.testing.assert_array_equal(
+                compute_mse_table(model, x, codes.astype(dtype)).values, table
+            )
+
+    @pytest.mark.parametrize("codes, message", [
+        (np.array(3), r"codes must have 4 blocks \(columns\), got shape \(\)"),
+        (np.zeros(600, dtype=np.uint8), "codes must have 4 blocks"),
+        (np.zeros((600, 4)), "codes must be integers"),
+        (np.full((600, 4), 8), "code out of range"),
+    ], ids=["0-d", "1-d", "float", "out-of-range"])
+    def test_codes_are_checked_before_their_rows(self, codes, message):
+        rng = np.random.default_rng(17)
+        x, model = trained_model(rng)
+        with pytest.raises(ValueError, match=message):
+            compute_mse_table(model, x, codes)
 
     def test_peak_memory_is_the_error_array_and_a_few_chunks(self, monkeypatch):
         # Five chunks of one 4096-row tile (K = 16) of 64 columns: the

@@ -61,6 +61,25 @@ def tiny_data(**kw):
     return data.database, data.train_queries, data.eval_queries
 
 
+def table_without_encode(monkeypatch, module):
+    """Patch ``module.compute_mse_table`` so that ``pq_encode`` raises while
+    it runs, and training around it encodes as usual; returns the list of
+    its calls."""
+    calls = []
+
+    def no_encode(*args):
+        raise AssertionError("the error-mean table encoded the database again")
+
+    def table(*args):
+        calls.append(len(args))
+        with monkeypatch.context() as patched:
+            patched.setattr(quantizer, "pq_encode", no_encode)
+            return compute_mse_table(*args)
+
+    monkeypatch.setattr(module, "compute_mse_table", table)
+    return calls
+
+
 def strict_json(path):
     """The parsed file, refusing NaN and Infinity, which are not JSON."""
     def refuse(name):
@@ -422,14 +441,13 @@ class TestFitMethod:
         assert calls == {"opq": 2, "pairq": 2}
 
     def test_opq_bc_table_reuses_the_opq_codes(self, monkeypatch):
-        def no_encode(*args):
-            raise AssertionError("the error-mean table encoded the database again")
-
-        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        calls = table_without_encode(monkeypatch, experiment)
         report = run_experiment(tiny_config(
             task="sqdist", methods=("opq", "opq-bc"), block_counts=(2,),
         ), *tiny_data())
         assert [c.error for c in report.cells] == [None, None]
+        # The table was made from the given codes.
+        assert calls == [3]
 
 
 class TestReportFiles:
@@ -699,16 +717,14 @@ class TestCli:
         assert peak < float32_rows + rotated + 4 * chunk, peak
 
     def test_train_mse_table_uses_the_training_codes(self, workdir, monkeypatch):
-        def no_encode(*args):
-            raise AssertionError("the error-mean table encoded the database again")
-
         run_cli("synth", "--dim", 6, "--database-size", 120,
                 "--train-queries", 10, "--eval-queries", 4, "--out-dir", "d")
-        monkeypatch.setattr("pairq.estimator.pq_encode", no_encode)
+        calls = table_without_encode(monkeypatch, cli)
         code = run_cli("train", "--mode", "sqdist", "--method", "opq", "--mse",
                        "--database", "d/database.fvecs", "-M", 2, "-K", 4,
                        "--outer-iters", 1, "--kmeans-iters", 5, "--out", "m")
         assert code == 0
+        assert calls == [3]
         assert load_model("m")[1] is not None
 
     def test_train_rejects_mse_for_pairq(self, workdir, capsys):

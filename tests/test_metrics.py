@@ -568,6 +568,21 @@ class TestEvaluateMethods:
             evaluate_methods(scored, "sqdist", queries, db)
         assert calls == []
 
+    # The shape is checked before the row count, so codes that are not a
+    # 2-d batch raise ValueError rather than an IndexError from their shape.
+    @pytest.mark.parametrize("shape", [(), (150,)], ids=["0-d", "1-d"])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_codes_of_another_shape_raise_before_scoring(self, monkeypatch, which,
+                                                          shape):
+        queries, db, scored = every_method("sqdist")
+        method = scored[which][0]
+        calls = []
+        monkeypatch.setattr(metrics, "true_values",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"codes must have \d+ blocks"):
+            evaluate_method(method, "sqdist", queries, db, np.full(shape, 3))
+        assert calls == []
+
     @pytest.mark.parametrize("max_pairs", [10**7, 300])
     @pytest.mark.parametrize("kind", ["scalar", "sqdist"])
     def test_equals_separate_evaluations(self, kind, max_pairs):

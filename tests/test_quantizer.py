@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairq import quantizer
 from pairq.quantizer import (
     SEED_CHUNK,
     TILE_ENTRIES,
@@ -603,13 +604,23 @@ class TestTrainOPQ:
         opq = train_opq(x, 4, 16, outer_iters=8, kmeans_iters=15, seed=2)
         assert opq.trace[-1] < pq_err
 
+    # The error walks the fit's chunks and adds their sums in the same
+    # order, so it is the last objective bit for bit.
     def test_reconstruction_error_matches_trace(self):
         rng = np.random.default_rng(19)
         x = correlated_data(rng, 200, 6)
         model = train_opq(x, 3, 4, outer_iters=3, kmeans_iters=10, seed=3)
-        np.testing.assert_allclose(
-            reconstruction_error(model, x), model.trace[-1], rtol=1e-12
-        )
+        assert reconstruction_error(model, x) == model.trace[-1]
+
+    def test_reconstruction_error_matches_trace_over_chunks(self, monkeypatch):
+        # With CHUNK_ENTRIES patched to 1, K = 16 chunks are one 4096-row
+        # tile: 4096, 4096 and 4596 rows, where one sum over all the rows
+        # rounds otherwise.
+        monkeypatch.setattr(quantizer, "CHUNK_ENTRIES", 1)
+        rng = np.random.default_rng(19)
+        x = correlated_data(rng, 3 * 4096 + 500, 14)
+        model = train_opq(x, 4, 16, outer_iters=3, kmeans_iters=10, seed=3, pad=True)
+        assert reconstruction_error(model, x) == model.trace[-1]
 
     def test_error_agrees_across_spaces(self):
         # Rotation preserves norms, so the rotated-space objective equals
@@ -676,6 +687,15 @@ class TestReconstructionError:
         for i in range(60):
             total += ((x_rot[i] - decoded[i]) ** 2).sum()
         np.testing.assert_allclose(reconstruction_error(model, x), total, rtol=1e-10)
+
+    # Narrower rows are not zero-padded to the codebook's width.
+    @pytest.mark.parametrize("width", [6, 10])
+    def test_codebook_rejects_rows_of_another_width(self, width):
+        rng = np.random.default_rng(27)
+        book = train_pq(rng.standard_normal((40, 8)), 2, 4, seed=0)
+        message = f"input dimension {width} does not match codebook dimension 8"
+        with pytest.raises(ValueError, match=message):
+            reconstruction_error(book, rng.standard_normal((40, width)))
 
     def test_rejects_unknown_model(self):
         with pytest.raises(TypeError, match="unsupported"):

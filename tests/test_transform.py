@@ -12,6 +12,8 @@ from pairq.linalg import CHUNK_ENTRIES, ZERO_EIG_RTOL, psd_sqrt, pseudo_inverse
 from pairq.metrics import estimate_batch
 from pairq.quantizer import (
     TILE_ENTRIES,
+    OPQModel,
+    PQCodebook,
     opq_decode,
     opq_encode,
     pq_decode,
@@ -20,6 +22,7 @@ from pairq.quantizer import (
     train_opq,
 )
 from pairq.transform import (
+    PairQModel,
     PairTransform,
     learn_scalar_transform,
     learn_sqdist_transform,
@@ -262,6 +265,27 @@ class TestTransformDatabase:
         with pytest.raises(ValueError, match="source dimension"):
             transform_database(t, np.zeros((5, 3)))
 
+    # The row path lifts rows exactly when its map is one column wider than
+    # they are, so a transform must be (n + 1)² in sqdist mode and n² in
+    # scalar mode; any other width raises this error before any product.
+    @pytest.mark.parametrize("mode, width", [
+        ("scalar", 5), ("scalar", 3), ("sqdist", 4), ("sqdist", 6),
+    ])
+    def test_transform_width_follows_the_mode(self, mode, width):
+        t = PairTransform(mode=mode, source_dim=4, matrix=np.eye(width),
+                          pinv=np.eye(width))
+        right = 5 if mode == "sqdist" else 4
+        message = (rf"{mode} transform of source dimension 4 must be "
+                   rf"{right}x{right}, got shape \({width}, {width}\)")
+        x = np.random.default_rng(3).standard_normal((20, 4))
+        opq = OPQModel(rotation=np.eye(width), input_dim=width,
+                       codebook=PQCodebook(centroids=np.zeros((1, 2, width))))
+        for call in (lambda: transform_database(t, x),
+                     lambda: train_pairq(t, x, 2, 2, outer_iters=0, kmeans_iters=1),
+                     lambda: pairq_encode(PairQModel(transform=t, opq=opq), x)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestTrainPairQ:
     def test_identity_transform_degenerates_to_plain_quantizer(self):
@@ -466,13 +490,14 @@ def padded_rotate(rotation, x, out=None):
     return np.matmul(padded, rotation.T, out=out)
 
 
-def padded_map(rows, weights, lift, out=None):
+def padded_map(rows, weights, out=None):
     """The map of ``quantizer._map_rows`` with the (lifted) rows and the
     folded weights W = R[:, :m] @ C copied out to the quantizer's width
     with zero columns: the padded copy's product, where ``_map_rows``
-    multiplies by W's own columns."""
+    multiplies by W's own columns. Rows are lifted when W is one column
+    wider than they are, as ``_map_rows`` lifts them."""
     x = np.asarray(rows, dtype=np.float64)
-    if lift:
+    if weights.shape[1] == x.shape[1] + 1:
         x = np.column_stack([x, np.einsum("ij,ij->i", x, x)])
     dim = weights.shape[0]
     padded_weights = np.zeros((dim, dim))
@@ -619,9 +644,9 @@ class TestChunkedEncode:
         seen = []
         map_rows = quantizer._map_rows
 
-        def recorded(rows, weights, lift, out=None):
+        def recorded(rows, weights, out=None):
             seen.append(weights)
-            return map_rows(rows, weights, lift, out=out)
+            return map_rows(rows, weights, out=out)
 
         monkeypatch.setattr(quantizer, "_map_rows", recorded)
         opts = dict(outer_iters=2, kmeans_iters=3, seed=0)
@@ -745,9 +770,9 @@ class TestChunkedTraining:
         sizes = []
         map_rows = quantizer._map_rows
 
-        def recorded(rows, weights, lift, out=None):
+        def recorded(rows, weights, out=None):
             sizes.append(len(rows))
-            return map_rows(rows, weights, lift, out=out)
+            return map_rows(rows, weights, out=out)
 
         monkeypatch.setattr(quantizer, "_map_rows", recorded)
         model = train_pairq(transform, x, 16, 16, outer_iters=2, kmeans_iters=2,
@@ -855,7 +880,7 @@ class TestColumnOrderCodes:
             model = train_pairq(learn(q), x, 4, 16, **opts)
             opq, encoded, transform = model.opq, pairq_encode(model, x), model.transform.matrix
         weights = quantizer._weights(opq.rotation, opq.input_dim, transform)
-        rows = quantizer._map_rows(x, weights, method == "sqdist")
+        rows = quantizer._map_rows(x, weights)
         expected = row_order_codes(opq.codebook, rows)
         self.assert_column_order(opq.codes, expected)
         self.assert_column_order(encoded, expected)
